@@ -15,7 +15,7 @@ from exact_uncertainty import (
     build_epr,
     collapse_momentum,
     collapse_position,
-    correlation_relation,
+    correlations,
     epr_grids,
     epr_moments,
     nonclassical_components_2d,
@@ -39,7 +39,7 @@ core = state.position_density() > 1e-6 * state.position_density().max()
 print(f"\nclassical momentum of each particle: constant "
       f"{parts.classical_field_1[core].mean():.6f} = p0/2")
 print("so ALL momentum correlation lives in the nonclassical components:")
-corr = correlation_relation(state)
+corr = correlations(parts)
 print(f"  r_P(X1, X2)         = {corr.r_pearson_position:+.6f}")
 print(f"  r_P(P1_nc, P2_nc)   = {corr.pair.r_pearson:+.6f}")
 print(f"  r_F(X1, X2)         = {corr.pair.r_fisher:+.6f}")

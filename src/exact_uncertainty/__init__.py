@@ -82,6 +82,7 @@ from .twoparticle import (
     collapse_momentum,
     collapse_position,
     correlation_relation,
+    correlations,
     epr_grids,
     epr_moments,
     nonclassical_components_2d,

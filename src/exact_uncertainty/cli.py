@@ -65,7 +65,7 @@ from .twoparticle import (
     build_epr,
     collapse_momentum,
     collapse_position,
-    correlation_relation,
+    correlations,
     epr_grids,
     epr_moments,
     momentum_collapse_prediction,
@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_epr.add_argument("--a", type=float, default=1.0)
     p_epr.add_argument("--collapse-p", type=float, default=0.5)
     p_epr.add_argument("--collapse-x", type=float, default=0.0)
-    p_epr.add_argument("--epr-grid-n", type=int, default=4096)
+    p_epr.add_argument("--epr-grid-n", type=int, default=None,
+                       help="points per axis (default: sized by epr_grids)")
 
     p_mub = sub.add_parser("mub", parents=[common], help="mutually complementary bases and the sum rule")
     p_mub.add_argument("--d", type=int, required=True)
@@ -380,7 +381,7 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
     state = build_epr(params, gx, gy, constants)
     moments = epr_moments(state)
     parts = nonclassical_components_2d(state)
-    corr = correlation_relation(state)
+    corr = correlations(parts)
     _, comp_x = collapse_position(state, args.collapse_x)
     _, comp_p = collapse_momentum(state, args.collapse_p)
     target = (0.5 * constants.hbar) ** 2

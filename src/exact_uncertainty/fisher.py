@@ -16,7 +16,13 @@ import numpy as np
 
 from .densities import CircleDensity, DiscreteDistribution, LineDensity, PlaneDensity
 from .errors import SingularInformation, UnstableStep, VanishingDensity
-from .grids import local_derivative, spectral_derivative, spectral_derivative_axis
+from .grids import (
+    GridSpec,
+    local_derivative,
+    row_blocks,
+    spectral_derivative,
+    spectral_derivative_axis,
+)
 from .states import GridMixedState
 
 FINITE = "finite"
@@ -245,15 +251,33 @@ def fisher_covariance(density) -> np.ndarray:
     density = density.normalized()
     p = density.values
     mask = density.mask()
-    gx = np.real(spectral_derivative_axis(p, density.grid_x, axis=0))
-    gy = np.real(spectral_derivative_axis(p, density.grid_y, axis=1))
-    w = density.measure
-    info = np.zeros((2, 2))
-    for i, a in enumerate((gx, gy)):
-        for j, b in enumerate((gx, gy)):
-            integrand = np.zeros_like(p)
-            integrand[mask] = a[mask] * b[mask] / p[mask]
-            info[i, j] = np.sum(integrand) * w
+    grad_x = np.real(spectral_derivative_axis(p, density.grid_x, axis=0))
+    sums = np.zeros(3)
+    for rows in row_blocks(*p.shape):
+        sums += plane_information_rows(p[rows], grad_x[rows], mask[rows], density.grid_y)
+    return inverse_information(sums * density.measure)
+
+
+def plane_information_rows(p: np.ndarray, grad_x: np.ndarray, mask: np.ndarray,
+                           grid_y: GridSpec) -> np.ndarray:
+    """Sums of (dp/dx)^2 / p, (dp/dx)(dp/dy) / p and (dp/dy)^2 / p over the
+    retained points of a block of whole rows of a plane density.
+
+    ``grad_x`` is the block's share of the spectral derivative along the
+    rows, which needs whole columns; the derivative along y is taken here.
+    """
+    grad_y = np.real(spectral_derivative_axis(p, grid_y, axis=1))[mask]
+    grad_x, p = grad_x[mask], p[mask]
+    over_p = grad_x / p
+    return np.array([over_p @ grad_x, over_p @ grad_y, (grad_y / p) @ grad_y])
+
+
+def inverse_information(entries: np.ndarray) -> np.ndarray:
+    """Fisher covariance from the information entries (xx, xy, yy).
+
+    Raises SingularInformation when the matrix cannot be inverted reliably.
+    """
+    info = np.array([[entries[0], entries[1]], [entries[1], entries[2]]])
     try:
         cond = np.linalg.cond(info)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -69,16 +69,32 @@ def spectral_derivative(values, grid: GridSpec, order: int = 1) -> np.ndarray:
     return np.fft.ifft(mult * np.fft.fft(values))
 
 
-def spectral_derivative_axis(values, grid: GridSpec, axis: int) -> np.ndarray:
-    """Spectral first derivative of a matrix of samples along one axis."""
-    values = np.asarray(values, dtype=complex)
+def spectral_derivative_axis(values, grid: GridSpec, axis: int, out=None) -> np.ndarray:
+    """Spectral first derivative of a matrix of samples along one axis.
+
+    The transform runs in one complex array of the input's shape: ``out``
+    when given, else a new one.
+    """
+    values = np.asarray(values)
     k = grid.wavenumbers()
-    k = k.copy()
     k[grid.n_points // 2] = 0.0
     shape = [1] * values.ndim
     shape[axis] = grid.n_points
-    mult = (1j * k).reshape(shape)
-    return np.fft.ifft(mult * np.fft.fft(values, axis=axis), axis=axis)
+    spec = np.fft.fft(values, axis=axis, out=out)
+    spec *= (1j * k).reshape(shape)
+    return np.fft.ifft(spec, axis=axis, out=spec)
+
+
+# byte budget of one complex row block in the blocked 2D reductions; a
+# 384 x 384 grid is one block, a 5120 x 5120 grid about fifty
+BLOCK_BYTES = 8 << 20
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """Slices of consecutive rows whose complex samples fit BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (16 * n_cols))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 def local_derivative(values, dx: float) -> np.ndarray:

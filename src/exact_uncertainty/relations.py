@@ -420,12 +420,11 @@ def verify_general(state, a_observable: np.ndarray,
 def verify_multidim(state, tol: float = 1e-5) -> RelationReport:
     """FCov(X) Cov(P_nc) = (hbar/2)^2 I, the volume equality, and the
     Heisenberg matrix inequality, for smooth 2D pure states."""
-    from .twoparticle import nonclassical_components_2d, position_plane_density
-    from .fisher import fisher_covariance
+    from .twoparticle import nonclassical_components_2d
 
     hbar = state.constants.hbar
     parts = nonclassical_components_2d(state)
-    fcov = fisher_covariance(position_plane_density(state))
+    fcov = parts.cov_fisher
     target = (0.5 * hbar) ** 2
 
     product = fcov @ parts.cov_nonclassical

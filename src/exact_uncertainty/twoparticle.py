@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import ClassicalComponent, classical_estimate
-from .densities import PlaneDensity
+from .densities import MASK_FLOOR, PlaneDensity
 from .errors import GridResolution, VanishingDensity
-from .grids import GridSpec, spectral_derivative_axis
+from .fisher import inverse_information, plane_information_rows
+from .grids import GridSpec, row_blocks, spectral_derivative_axis
 from .states import Constants, Grid2DPureState, GridPureState, normalize
 
 
@@ -26,39 +27,39 @@ def position_plane_density(state: Grid2DPureState) -> PlaneDensity:
 
 
 def momentum_plane_density(state: Grid2DPureState):
-    """(p1 lattice, p2 lattice, |psi~|^2) with lattices in fft order."""
+    """(p1 lattice, p2 lattice, |psi~|^2) with lattices in fft order.
+
+    The box-offset phases exp(-i k x_min) have unit modulus, so |.|^2 drops
+    them, and the dx dy / (2 pi hbar) scale is applied to the real density.
+    """
     hbar = state.constants.hbar
     gx, gy = state.grid_x, state.grid_y
-    kx, ky = gx.wavenumbers(), gy.wavenumbers()
-    spec = np.fft.fft2(state.amplitudes)
-    spec *= np.exp(-1j * kx * gx.x_min)[:, None]
-    spec *= np.exp(-1j * ky * gy.x_min)[None, :]
-    spec *= gx.dx * gy.dx / (2.0 * np.pi * hbar)
-    return hbar * kx, hbar * ky, np.abs(spec) ** 2
-
-
-def position_covariance(state: Grid2DPureState) -> np.ndarray:
-    p = state.position_density()
-    w = state.measure
-    x1 = state.grid_x.points()[:, None]
-    x2 = state.grid_y.points()[None, :]
-    return _weighted_cov(p * w, x1, x2)
+    dens = np.abs(np.fft.fft2(state.amplitudes))
+    dens *= dens
+    dens *= (gx.dx * gy.dx / (2.0 * np.pi * hbar)) ** 2
+    return hbar * gx.wavenumbers(), hbar * gy.wavenumbers(), dens
 
 
 def momentum_covariance(state: Grid2DPureState) -> np.ndarray:
     k1, k2, dens = momentum_plane_density(state)
     hbar = state.constants.hbar
     dp = (state.grid_x.momentum_spacing(hbar) * state.grid_y.momentum_spacing(hbar))
-    return _weighted_cov(dens * dp, k1[:, None], k2[None, :])
+    moments = sum(_moment_sums(dens[rows], k1[rows, None], k2)
+                  for rows in row_blocks(*dens.shape))
+    return _cov(moments * dp)
 
 
-def _weighted_cov(weights: np.ndarray, a1, a2) -> np.ndarray:
-    m1 = float(np.sum(weights * a1))
-    m2 = float(np.sum(weights * a2))
-    c11 = float(np.sum(weights * a1 * a1)) - m1 ** 2
-    c22 = float(np.sum(weights * a2 * a2)) - m2 ** 2
-    c12 = float(np.sum(weights * a1 * a2)) - m1 * m2
-    return np.array([[c11, c12], [c12, c22]])
+def _moment_sums(weights: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """Weighted sums of a1, a2, a1^2, a1 a2, a2^2 over a block (a1, a2
+    broadcast against the weights)."""
+    w1, w2 = weights * a1, weights * a2
+    return np.array([w1.sum(), w2.sum(), (w1 * a1).sum(), (w1 * a2).sum(), (w2 * a2).sum()])
+
+
+def _cov(moments) -> np.ndarray:
+    """Covariance matrix from the moments (E a1, E a2, E a1^2, E a1 a2, E a2^2)."""
+    m1, m2, s11, s12, s22 = moments
+    return np.array([[s11 - m1 ** 2, s12 - m1 * m2], [s12 - m1 * m2, s22 - m2 ** 2]])
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,12 @@ class TwoParticleDecomposition:
     additivity_residual: float
     mixed_partials_residual: float
     mean_nonclassical: np.ndarray
+    information_position: np.ndarray  # Fisher information entries (11, 12, 22)
+
+    @property
+    def cov_fisher(self) -> np.ndarray:
+        """Fisher covariance of the position density; raises SingularInformation."""
+        return inverse_information(self.information_position)
 
 
 def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecomposition:
@@ -83,52 +90,70 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     Cov(P_nc) is computed directly from the residual fields (not by
     subtraction), so the reported additivity residual is a genuine check of
     Cov(P) = Cov(P_cl) + Cov(P_nc).
+
+    The derivatives along x1 transform whole columns, so they are computed
+    whole, in one complex buffer.  The rest is computed over blocks of rows
+    (``row_blocks``), with every weighted sum accumulated in that one loop:
+    no full-size chi, flux or weight array exists.
     """
     hbar = state.constants.hbar
     psi = state.amplitudes
     w = state.measure
+    gx, gy = state.grid_x, state.grid_y
+    cov_p = momentum_covariance(state)
+
     p = state.position_density()
-    mask = p > 1e-12 * p.max()
+    mask = p > MASK_FLOOR * p.max()
     if np.sum(p[~mask]) * w > 0.2:
         raise VanishingDensity("2D density vanishes on > 20% of mass")
 
-    d1 = spectral_derivative_axis(psi, state.grid_x, axis=0)
-    d2 = spectral_derivative_axis(psi, state.grid_y, axis=1)
-    flux1 = hbar * np.imag(np.conj(psi) * d1)  # = p * v1
-    flux2 = hbar * np.imag(np.conj(psi) * d2)
+    # the buffer first gives the density's x1 gradient (Fisher information),
+    # then d(psi)/dx1
+    d1 = p.astype(complex)
+    grad_x = spectral_derivative_axis(d1, gx, axis=0, out=d1).real.copy()
+    spectral_derivative_axis(psi, gx, axis=0, out=d1)
+
+    x1, x2 = gx.points(), gy.points()
     v1 = np.zeros_like(p)
     v2 = np.zeros_like(p)
-    v1[mask] = flux1[mask] / p[mask]
-    v2[mask] = flux2[mask] / p[mask]
+    position = np.zeros(5)      # p-weighted sums of x1, x2, x1^2, x1 x2, x2^2
+    classical = np.zeros(5)     # the same for v1, v2
+    nonclassical = np.zeros(5)  # <psi|chi1>, <psi|chi2>, <chi1|chi1>, <chi1|chi2>, <chi2|chi2>
+    information = np.zeros(3)
+    for rows in row_blocks(*p.shape):
+        psi_b, p_b, m_b, d1_b = psi[rows], p[rows], mask[rows], d1[rows]
+        d2_b = spectral_derivative_axis(psi_b, gy, axis=1)
+        flux1 = hbar * np.imag(np.conj(psi_b) * d1_b)  # = p * v1
+        flux2 = hbar * np.imag(np.conj(psi_b) * d2_b)
+        v1_b, v2_b = v1[rows], v2[rows]
+        v1_b[m_b] = flux1[m_b] / p_b[m_b]
+        v2_b[m_b] = flux2[m_b] / p_b[m_b]
+        position += _moment_sums(p_b, x1[rows, None], x2)
+        classical += _moment_sums(p_b, v1_b, v2_b)
 
-    weights = p * w
-    cov_cl = _weighted_cov(weights, v1, v2)
+        # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly
+        chi1 = -1j * hbar * d1_b - v1_b * psi_b
+        chi2 = -1j * hbar * d2_b - v2_b * psi_b
+        nonclassical += np.real([np.vdot(psi_b, chi1), np.vdot(psi_b, chi2),
+                                 np.vdot(chi1, chi1), np.vdot(chi1, chi2),
+                                 np.vdot(chi2, chi2)])
+        information += plane_information_rows(p_b, grad_x[rows], m_b, gy)
+    del d1, d1_b, grad_x  # the last block's view would keep the buffer alive
 
-    # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly
-    chi1 = -1j * hbar * d1 - v1 * psi
-    chi2 = -1j * hbar * d2 - v2 * psi
-    mean_nc = np.array([
-        float(np.real(np.sum(np.conj(psi) * chi1)) * w),
-        float(np.real(np.sum(np.conj(psi) * chi2)) * w),
-    ])
-    cov_nc = np.array([
-        [_overlap(chi1, chi1, w), _overlap(chi1, chi2, w)],
-        [_overlap(chi1, chi2, w), _overlap(chi2, chi2, w)],
-    ]) - np.outer(mean_nc, mean_nc)
-
-    cov_x = position_covariance(state)
-    cov_p = momentum_covariance(state)
+    cov_x = _cov(position * w)
+    cov_cl = _cov(classical * w)
+    cov_nc = _cov(nonclassical * w)
+    mean_nc = nonclassical[:2] * w
     scale = max(float(np.max(np.abs(cov_p))), 1e-300)
     additivity = float(np.max(np.abs(cov_p - cov_cl - cov_nc))) / scale
 
     mixed = _mixed_partials_residual(v1, v2, p, state)
 
+    # Fisher information of the normalized density p / total
+    total = float(np.sum(p)) * w
+    information *= w / total
     return TwoParticleDecomposition(v1, v2, mask, cov_x, cov_p, cov_cl, cov_nc,
-                                    additivity, mixed, mean_nc)
-
-
-def _overlap(f, g, w: float) -> float:
-    return float(np.real(np.sum(np.conj(f) * g)) * w)
+                                    additivity, mixed, mean_nc, information)
 
 
 def _mixed_partials_residual(v1, v2, p, state) -> float:
@@ -177,14 +202,14 @@ def pearson_from_cov(cov: np.ndarray) -> float:
 
 def correlation_relation(state: Grid2DPureState) -> CorrelationRelation:
     """Evaluate r_P(P_nc^(1), P_nc^(2)) + r_F(X^(1), X^(2)) and its residual."""
-    from .fisher import fisher_covariance
+    return correlations(nonclassical_components_2d(state))
 
-    parts = nonclassical_components_2d(state)
+
+def correlations(parts: TwoParticleDecomposition) -> CorrelationRelation:
+    """The correlation relation read from a computed decomposition."""
     r_p_nc = pearson_from_cov(parts.cov_nonclassical)
-    fcov = fisher_covariance(position_plane_density(state))
-    r_f_x = pearson_from_cov(fcov)
-    residual = abs(r_p_nc + r_f_x)
-    return CorrelationRelation(CorrelationPair(r_p_nc, r_f_x), residual,
+    r_f_x = pearson_from_cov(parts.cov_fisher)
+    return CorrelationRelation(CorrelationPair(r_p_nc, r_f_x), abs(r_p_nc + r_f_x),
                                pearson_from_cov(parts.cov_position),
                                pearson_from_cov(parts.cov_momentum))
 
@@ -255,24 +280,25 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
 
 def epr_moments(state: Grid2DPureState) -> dict:
     """Means and variances of the relative position and total momentum."""
-    p = state.position_density() * state.measure
-    x1 = state.grid_x.points()[:, None]
-    x2 = state.grid_y.points()[None, :]
-    rel = x1 - x2
-    mean_rel = float(np.sum(p * rel))
-    var_rel = float(np.sum(p * rel ** 2)) - mean_rel ** 2
-
     k1, k2, dens = momentum_plane_density(state)
+    x1, x2 = state.grid_x.points(), state.grid_y.points()
+    sums = np.zeros(4)  # sums of p rel, p rel^2, |psi~|^2 tot, |psi~|^2 tot^2
+    for rows in row_blocks(*dens.shape):
+        rel = x1[rows, None] - x2[None, :]
+        tot = k1[rows, None] + k2[None, :]
+        p_rel = np.abs(state.amplitudes[rows]) ** 2 * rel
+        dens_tot = dens[rows] * tot
+        sums += [p_rel.sum(), (p_rel * rel).sum(), dens_tot.sum(), (dens_tot * tot).sum()]
+
     hbar = state.constants.hbar
     dp = state.grid_x.momentum_spacing(hbar) * state.grid_y.momentum_spacing(hbar)
-    tot = k1[:, None] + k2[None, :]
-    mean_tot = float(np.sum(dens * dp * tot))
-    var_tot = float(np.sum(dens * dp * tot ** 2)) - mean_tot ** 2
+    mean_rel, sq_rel = sums[:2] * state.measure
+    mean_tot, sq_tot = sums[2:] * dp
     return {
-        "mean_relative_position": mean_rel,
-        "var_relative_position": var_rel,
-        "mean_total_momentum": mean_tot,
-        "var_total_momentum": var_tot,
+        "mean_relative_position": float(mean_rel),
+        "var_relative_position": float(sq_rel - mean_rel ** 2),
+        "mean_total_momentum": float(mean_tot),
+        "var_total_momentum": float(sq_tot - mean_tot ** 2),
     }
 
 

@@ -155,3 +155,17 @@ def test_epr_demo_small(tmp_path):
         collapse["formula_prediction"], abs=1e-5)
     assert doc["correlations"]["relation_residual"] < 1e-3
     assert doc["covariances"]["matrix_product_residual"] < 1e-4
+
+
+def test_epr_demo_default_grid_is_library_sizing(tmp_path):
+    from exact_uncertainty.twoparticle import EprParams, epr_grids
+
+    code, doc = run(["epr-demo", "--sigma", "0.2", "--tau", "5"], tmp_path / "e.json")
+    assert code == 0
+    expected = epr_grids(EprParams(a=1.0, sigma=0.2, tau=5.0, p0=2.0))[0]
+    assert doc["grid"]["n_points"] == expected.n_points
+    collapse = doc["collapse"]
+    assert collapse["classical_momentum_after_momentum_collapse"] == pytest.approx(
+        collapse["formula_prediction"], abs=1e-5)
+    assert doc["correlations"]["relation_residual"] < 1e-3
+    assert doc["covariances"]["matrix_product_residual"] < 1e-4

@@ -199,3 +199,158 @@ class TestLocality:
         parts = nonclassical_components_2d(small_epr)
         product = parts.cov_position @ parts.cov_momentum
         assert np.max(np.abs(product - 0.25 * np.eye(2))) < 1e-4 * 0.25
+
+
+class TestOneDecompositionPerReport:
+    """The epr-demo report and the blocked reductions against independent
+    computations."""
+
+    def test_epr_demo_matches_separate_calls(self, small_epr, monkeypatch):
+        import argparse
+
+        from exact_uncertainty import cli, twoparticle
+
+        calls = []
+        original = twoparticle.nonclassical_components_2d
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        monkeypatch.setattr(cli, "nonclassical_components_2d", counted)
+        monkeypatch.setattr(twoparticle, "nonclassical_components_2d", counted)
+        args = argparse.Namespace(a=SMALL.a, sigma=SMALL.sigma, tau=SMALL.tau, p0=SMALL.p0,
+                                  collapse_x=0.0, collapse_p=0.5, epr_grid_n=None)
+        _, doc = cli.cmd_epr_demo(cli.RunConfig(), args)
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        parts = nonclassical_components_2d(small_epr)
+        corr = correlation_relation(small_epr)
+        cov = doc["covariances"]
+        for key, expected in (("position", parts.cov_position),
+                              ("momentum", parts.cov_momentum),
+                              ("nonclassical", parts.cov_nonclassical)):
+            np.testing.assert_allclose(cov[key], expected, rtol=1e-12, atol=0.0)
+        got = doc["correlations"]
+        for key, expected in (("pearson_position", corr.r_pearson_position),
+                              ("pearson_momentum", corr.r_pearson_momentum),
+                              ("pearson_nonclassical", corr.pair.r_pearson),
+                              ("fisher_position", corr.pair.r_fisher),
+                              ("relation_residual", corr.residual)):
+            assert got[key] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_blocked_reductions_match_unblocked_formulas(self, small_epr):
+        from exact_uncertainty.fisher import fisher_covariance
+        from exact_uncertainty.grids import row_blocks
+        from exact_uncertainty.twoparticle import position_plane_density
+
+        st = small_epr
+        assert len(list(row_blocks(*st.amplitudes.shape))) > 2
+        ref = unblocked_reference(st)
+        parts = nonclassical_components_2d(st)
+
+        # the fields and the mask are elementwise, so they are bit for bit equal
+        assert np.array_equal(parts.retained, ref["mask"])
+        assert np.array_equal(parts.classical_field_1, ref["v1"])
+        assert np.array_equal(parts.classical_field_2, ref["v2"])
+        assert parts.mixed_partials_residual == ref["mixed"]
+
+        # only the summation order of the reductions differs
+        for name, got in (("cov_position", parts.cov_position),
+                          ("cov_momentum", parts.cov_momentum),
+                          ("cov_nonclassical", parts.cov_nonclassical),
+                          ("cov_fisher", parts.cov_fisher),
+                          ("cov_fisher", fisher_covariance(position_plane_density(st)))):
+            np.testing.assert_allclose(got, ref[name], rtol=1e-12, atol=0.0, err_msg=name)
+        # Cov(P_cl) and <P_nc> nearly vanish here: they are compared on the
+        # scale of Cov(P), as the additivity residual is
+        scale = np.max(np.abs(ref["cov_momentum"]))
+        np.testing.assert_allclose(parts.cov_classical, ref["cov_classical"],
+                                   rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(parts.mean_nonclassical, ref["mean_nonclassical"],
+                                   rtol=0.0, atol=1e-12 * np.sqrt(scale))
+        assert parts.additivity_residual == pytest.approx(ref["additivity"], abs=1e-12)
+
+        moments = epr_moments(st)
+        for key, expected in ref["moments"].items():
+            assert moments[key] == pytest.approx(expected, rel=1e-12, abs=0.0), key
+
+
+def unblocked_reference(state):
+    """Whole-array versions of the decomposition, Fisher covariance and EPR
+    moment formulas, with the momentum density built from the phase-corrected,
+    scaled spectrum."""
+    from exact_uncertainty.grids import spectral_derivative_axis
+    from exact_uncertainty.twoparticle import _mixed_partials_residual
+
+    hbar = state.constants.hbar
+    psi = state.amplitudes
+    w = state.measure
+    gx, gy = state.grid_x, state.grid_y
+    x1 = gx.points()[:, None]
+    x2 = gy.points()[None, :]
+    p = state.position_density()
+    mask = p > 1e-12 * p.max()
+
+    def weighted_cov(weights, a1, a2):
+        m1 = float(np.sum(weights * a1))
+        m2 = float(np.sum(weights * a2))
+        c11 = float(np.sum(weights * a1 * a1)) - m1 ** 2
+        c22 = float(np.sum(weights * a2 * a2)) - m2 ** 2
+        c12 = float(np.sum(weights * a1 * a2)) - m1 * m2
+        return np.array([[c11, c12], [c12, c22]])
+
+    def overlap(f, g):
+        return float(np.real(np.sum(np.conj(f) * g)) * w)
+
+    d1 = spectral_derivative_axis(psi, gx, axis=0)
+    d2 = spectral_derivative_axis(psi, gy, axis=1)
+    v1 = np.zeros_like(p)
+    v2 = np.zeros_like(p)
+    v1[mask] = (hbar * np.imag(np.conj(psi) * d1))[mask] / p[mask]
+    v2[mask] = (hbar * np.imag(np.conj(psi) * d2))[mask] / p[mask]
+    cov_cl = weighted_cov(p * w, v1, v2)
+    chi1 = -1j * hbar * d1 - v1 * psi
+    chi2 = -1j * hbar * d2 - v2 * psi
+    mean_nc = np.array([overlap(psi, chi1), overlap(psi, chi2)])
+    cov_nc = np.array([[overlap(chi1, chi1), overlap(chi1, chi2)],
+                       [overlap(chi1, chi2), overlap(chi2, chi2)]]) - np.outer(mean_nc, mean_nc)
+
+    kx, ky = gx.wavenumbers(), gy.wavenumbers()
+    spec = np.fft.fft2(psi)
+    spec *= np.exp(-1j * kx * gx.x_min)[:, None]
+    spec *= np.exp(-1j * ky * gy.x_min)[None, :]
+    spec *= gx.dx * gy.dx / (2.0 * np.pi * hbar)
+    dp = gx.momentum_spacing(hbar) * gy.momentum_spacing(hbar)
+    dens = np.abs(spec) ** 2 * dp
+    k1, k2 = hbar * kx[:, None], hbar * ky[None, :]
+    cov_p = weighted_cov(dens, k1, k2)
+    additivity = float(np.max(np.abs(cov_p - cov_cl - cov_nc))) / np.max(np.abs(cov_p))
+
+    q = p / (np.sum(p) * w)
+    grads = [np.real(spectral_derivative_axis(q, gx, axis=0)),
+             np.real(spectral_derivative_axis(q, gy, axis=1))]
+    info = np.array([[np.sum(a[mask] * b[mask] / q[mask]) * w for b in grads] for a in grads])
+
+    tot = k1 + k2
+    rel = x1 - x2
+    mean_rel = float(np.sum(p * w * rel))
+    mean_tot = float(np.sum(dens * tot))
+    return {
+        "mask": mask, "v1": v1, "v2": v2,
+        "mixed": _mixed_partials_residual(v1, v2, p, state),
+        "cov_position": weighted_cov(p * w, x1, x2),
+        "cov_momentum": cov_p,
+        "cov_classical": cov_cl,
+        "cov_nonclassical": cov_nc,
+        "mean_nonclassical": mean_nc,
+        "additivity": additivity,
+        "cov_fisher": np.linalg.inv(info),
+        "moments": {
+            "mean_relative_position": mean_rel,
+            "var_relative_position": float(np.sum(p * w * rel ** 2)) - mean_rel ** 2,
+            "mean_total_momentum": mean_tot,
+            "var_total_momentum": float(np.sum(dens * tot ** 2)) - mean_tot ** 2,
+        },
+    }
