@@ -62,8 +62,10 @@ from .states import (
     Grid2DPureState,
     GridMixedState,
     GridPureState,
+    MixedState,
     PeriodicMixedState,
     PeriodicState,
+    ensemble_sum,
     evolve_step,
     fock_basis_state,
     gaussian_state,

@@ -11,7 +11,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .energy import (
     entropic_groundstate_bound,
     fisher_groundstate_bound,
 )
-from .errors import ExactUncertaintyError, ParseError
+from .errors import ExactUncertaintyError, NonFiniteResult, ParseError
 from .fisher import diffusion_entropy_rate
 from .grids import GridSpec
 from .mub import complementarity_check, measurement_distribution, mub_construct
@@ -54,9 +54,10 @@ from .states import (
     Constants,
     FiniteState,
     FockState,
-    GridMixedState,
     GridPureState,
     PeriodicState,
+    _complex_list,
+    family,
     gaussian_state,
     state_from_dict,
 )
@@ -183,19 +184,23 @@ def main(argv=None) -> int:
                        args.tol_grid, args.tol_finite, args.tol_fock, args.seed, args.out)
     try:
         code, report = COMMANDS[args.command](config, args)
+        report["provenance"] = config.provenance()
+        _emit(report, config)
     except (ParseError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc), "kind": "parse"}, config)
         return 2
     except ExactUncertaintyError as exc:
         _emit({"error": str(exc), "kind": type(exc).__name__}, config)
         return 3
-    report["provenance"] = config.provenance()
-    _emit(report, config)
     return code
 
 
 def _emit(report: dict, config: RunConfig):
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
+    """Write the report as strict JSON; a NaN in it raises NonFiniteResult."""
+    try:
+        text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a NaN: {exc}") from exc
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text + "\n")
@@ -236,13 +241,9 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
 
 def _verify_one(state, relation: str | None, config: RunConfig) -> RelationReport:
     if relation is None:
-        if isinstance(state, (GridPureState, GridMixedState)):
-            relation = "xp"
-        elif isinstance(state, PeriodicState):
-            relation = "phase-angular"
-        elif isinstance(state, FockState):
-            relation = "phase-number"
-        else:
+        relation = {GridPureState: "xp", PeriodicState: "phase-angular",
+                    FockState: "phase-number"}.get(family(state))
+        if relation is None:
             raise ParseError("cannot infer a relation for this state family")
     if relation == "xp":
         return verify_position_momentum(state, config.tol_grid)
@@ -310,7 +311,7 @@ def cmd_decompose(config: RunConfig, args) -> tuple[int, dict]:
     state = _load_state(args.state, config.constants())
     observable = args.observable or {"position": "P", "momentum": "X", "phase": None}[args.basis]
     if observable is None:
-        observable = "J" if isinstance(state, PeriodicState) else "N"
+        observable = "J" if family(state) is PeriodicState else "N"
     comp = classical_estimate(state, args.basis, observable)
     summary = decomposition_summary(state, args.basis, observable)
     doc = {
@@ -442,13 +443,9 @@ def cmd_mub(config: RunConfig, args) -> tuple[int, dict]:
             list(measurement_distribution(state, bases, i).probs)
             for i in range(bases.n_bases)
         ],
-        "bases": [[_complex_pairs(col) for col in basis.T] for basis in bases.bases],
+        "bases": [[_complex_list(col) for col in basis.T] for basis in bases.bases],
     }
     return (0 if report.passed else 1), doc
-
-
-def _complex_pairs(vec) -> list:
-    return [[float(z.real), float(z.imag)] for z in vec]
 
 
 def cmd_signal(config: RunConfig, args) -> tuple[int, dict]:

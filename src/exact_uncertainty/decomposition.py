@@ -16,23 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooSmall, UnsupportedObservable, VanishingDensity
-from .grids import spectral_derivative, spectral_derivative_axis
+from .densities import floor_mask, masked_ratio
+from .errors import CutoffTooSmall, UnsupportedObservable
+from .grids import spectral_derivative
 from .states import (
     Constants,
-    FockMixedState,
     FockState,
-    GridMixedState,
     GridPureState,
-    PeriodicMixedState,
     PeriodicState,
+    ensemble_sum,
     evolve_step,
+    family,
     moment,
     to_momentum,
     variance,
 )
-
-MASKED_MASS_LIMIT = 0.2
 
 
 @dataclass(frozen=True)
@@ -84,17 +82,14 @@ class PomObservable:
         return float(np.max(np.abs(total - np.eye(total.shape[0]))))
 
 
-def _masked_component(labels, numerator, density, weight_measure, observable, basis):
-    """Assemble a ClassicalComponent, masking labels with negligible density."""
-    mask = density > 1e-12 * density.max()
-    masked_mass = float(np.sum(density[~mask]) * weight_measure)
-    if masked_mass > MASKED_MASS_LIMIT:
-        raise VanishingDensity(
-            f"{masked_mass:.2f} of the probability mass lies on masked labels")
-    values = np.zeros_like(density)
-    values[mask] = numerator[mask] / density[mask]
-    weights = density * weight_measure
-    return ClassicalComponent(labels, values, weights, mask, observable, basis, masked_mass)
+def _masked_component(labels, state, terms, weight_measure, observable, basis):
+    """Assemble a ClassicalComponent from the member sums of ``terms``, a pure
+    state's stacked (numerator, density); labels with negligible density are
+    masked."""
+    numerator, density = ensemble_sum(state, terms)
+    values, mask, masked_mass = masked_ratio(numerator, density, weight_measure)
+    return ClassicalComponent(labels, values, density * weight_measure, mask,
+                              observable, basis, masked_mass)
 
 
 def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent:
@@ -105,96 +100,73 @@ def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent
     (extended-phase, N).
     """
     key = (basis, observable)
-    if isinstance(state, (GridPureState, GridMixedState)):
-        if key == ("position", "P"):
-            return _grid_momentum_estimate(state)
-        if key == ("momentum", "X"):
-            return _grid_position_estimate(state)
-    elif isinstance(state, PeriodicState) and key == ("phase", "J"):
+    kind = family(state)
+    if kind is GridPureState and key == ("position", "P"):
+        return _grid_momentum_estimate(state)
+    if kind is GridPureState and key == ("momentum", "X"):
+        return _grid_position_estimate(state)
+    if kind is PeriodicState and key == ("phase", "J"):
         return _rotator_estimate(state)
-    elif isinstance(state, PeriodicMixedState) and key == ("phase", "J"):
-        return _circle_mixed_estimate(state, state.constants.hbar * state.j_values, "J")
-    elif isinstance(state, FockState) and key in (("phase", "N"), ("extended-phase", "N")):
+    if kind is FockState and key in (("phase", "N"), ("extended-phase", "N")):
         return _fock_number_estimate(state)
-    elif isinstance(state, FockMixedState) and key in (("phase", "N"), ("extended-phase", "N")):
-        return _circle_mixed_estimate(state, state.n_values.astype(float), "N")
     raise UnsupportedObservable(f"no estimate of {observable} from {basis} "
                                 f"for {type(state).__name__}")
 
 
-def _circle_mixed_estimate(state, b_values: np.ndarray, observable: str) -> ClassicalComponent:
-    """<phi|B rho + rho B|phi>/2 / p(phi) for circle-family density matrices."""
-    m = state.default_phase_points()
-    t = state.phase_kernel(m)
-    rho = state.matrix
-    b_rho = b_values[:, None] * rho
-    numerator = np.real(np.einsum("mj,jk,mk->m", t, b_rho, t.conj()))
-    density = np.real(np.einsum("mj,jk,mk->m", t, rho, t.conj()))
-    return _masked_component(state.phase_grid(m), numerator, np.clip(density, 0.0, None),
-                             2.0 * np.pi / m, observable, "phase")
+# Each estimate below sums <a|B rho + rho B|a> / 2 and <a|rho|a> over the
+# members of a mixture; for one member psi the numerator is Re[<psi|a><a|B|psi>].
 
 
 def _grid_momentum_estimate(state) -> ClassicalComponent:
     """P_cl(x); for pure psi this is hbar * Im[psi* psi'] / |psi|^2 (branch-free)."""
     hbar = state.constants.hbar
     grid = state.grid
-    x = grid.points()
-    if isinstance(state, GridPureState):
-        psi = state.amplitudes
+
+    def terms(member):
+        psi = member.amplitudes
         dpsi = spectral_derivative(psi, grid)
-        numerator = hbar * np.imag(np.conj(psi) * dpsi)
-        density = np.abs(psi) ** 2
-    else:
-        d0 = spectral_derivative_axis(state.matrix, grid, axis=0)
-        d1 = spectral_derivative_axis(state.matrix, grid, axis=1)
-        # <x|P rho + rho P|x>/2 with P = -i hbar d/dx
-        numerator = np.real(0.5 * (-1j * hbar * np.diag(d0) + 1j * hbar * np.diag(d1)))
-        density = state.position_density()
-    return _masked_component(x, numerator, density, grid.dx, "P", "position")
+        return np.array([hbar * np.imag(np.conj(psi) * dpsi), np.abs(psi) ** 2])
+
+    return _masked_component(grid.points(), state, terms, grid.dx, "P", "position")
 
 
 def _grid_position_estimate(state) -> ClassicalComponent:
     """X_cl(p) in the momentum representation (X acts as +i*hbar d/dp)."""
     hbar = state.constants.hbar
-    if isinstance(state, GridPureState):
-        mom = to_momentum(state)
-        pgrid = mom.grid
-        phi = mom.amplitudes
+    pgrid = state.grid.conjugate_grid(hbar)
+
+    def terms(member):
+        phi = to_momentum(member).amplitudes
         dphi = spectral_derivative(phi, pgrid)
-        numerator = -hbar * np.imag(np.conj(phi) * dphi)
-        density = np.abs(phi) ** 2
-    else:
-        from .states import _momentum_matrix
+        return np.array([-hbar * np.imag(np.conj(phi) * dphi), np.abs(phi) ** 2])
 
-        rho_p = _momentum_matrix(state)
-        pgrid = state.grid.conjugate_grid(hbar)
-        d0 = spectral_derivative_axis(rho_p, pgrid, axis=0)
-        d1 = spectral_derivative_axis(rho_p, pgrid, axis=1)
-        numerator = np.real(0.5 * (1j * hbar * np.diag(d0) - 1j * hbar * np.diag(d1)))
-        density = np.real(np.diag(rho_p))
-    return _masked_component(pgrid.points(), numerator, density, pgrid.dx, "X", "momentum")
+    return _masked_component(pgrid.points(), state, terms, pgrid.dx, "X", "momentum")
 
 
-def _rotator_estimate(state: PeriodicState) -> ClassicalComponent:
+def _rotator_estimate(state) -> ClassicalComponent:
     """J_cl(phi) = hbar * Im[f* f'] / |f|^2 on the phase grid."""
     hbar = state.constants.hbar
     m = state.default_phase_points()
-    f = state.phase_samples(m)
-    df = state.phase_samples(m, weights=1j * state.j_values)
-    numerator = hbar * np.imag(np.conj(f) * df)
-    density = np.abs(f) ** 2
-    return _masked_component(state.phase_grid(m), numerator, density,
+
+    def terms(member):
+        f = member.phase_samples(m)
+        df = member.phase_samples(m, weights=1j * member.j_values)
+        return np.array([hbar * np.imag(np.conj(f) * df), np.abs(f) ** 2])
+
+    return _masked_component(state.phase_grid(m), state, terms,
                              2.0 * np.pi / m, "J", "phase")
 
 
-def _fock_number_estimate(state: FockState) -> ClassicalComponent:
+def _fock_number_estimate(state) -> ClassicalComponent:
     """N_cl(phi) = Re[<psi|phi><phi|N|psi>] / p(phi)."""
     m = state.default_phase_points()
-    f = state.phase_samples(m)
-    g = state.phase_samples(m, weights=state.n_values.astype(complex))
-    numerator = np.real(np.conj(f) * g)
-    density = np.abs(f) ** 2
-    return _masked_component(state.phase_grid(m), numerator, density,
+
+    def terms(member):
+        f = member.phase_samples(m)
+        g = member.phase_samples(m, weights=member.n_values.astype(complex))
+        return np.array([np.real(np.conj(f) * g), np.abs(f) ** 2])
+
+    return _masked_component(state.phase_grid(m), state, terms,
                              2.0 * np.pi / m, "N", "phase")
 
 
@@ -282,7 +254,7 @@ def _extended_pom(state: FockState, cutoff: int):
     f = state.phase_samples(m_grid)
     g = state.phase_samples(m_grid, weights=state.n_values.astype(complex))
     density = np.abs(f) ** 2
-    mask = density > 1e-12 * density.max()
+    mask = floor_mask(density)
     ncl = np.zeros(m_grid)
     ncl[mask] = np.real(np.conj(f[mask]) * g[mask]) / density[mask]
     if not mask.all():

@@ -6,9 +6,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import VanishingDensity
 from .grids import GridSpec
 
 MASK_FLOOR = 1e-12  # labels with p below this fraction of max(p) are masked
+MASKED_MASS_LIMIT = 0.2  # more probability mass than this on masked labels is an error
+
+
+def floor_mask(values: np.ndarray) -> np.ndarray:
+    """True where a density is retained: above MASK_FLOOR of its maximum."""
+    return values > MASK_FLOOR * values.max()
+
+
+def masked_ratio(numerator: np.ndarray, density: np.ndarray, measure: float,
+                 what: str = "probability mass"):
+    """(numerator / density on retained labels and 0 elsewhere, the mask, the
+    masked mass); VanishingDensity when that mass exceeds MASKED_MASS_LIMIT."""
+    mask = floor_mask(density)
+    masked_mass = float(np.sum(density[~mask]) * measure)
+    if masked_mass > MASKED_MASS_LIMIT:
+        raise VanishingDensity(f"{masked_mass:.2f} of the {what} lies on masked labels")
+    values = np.zeros_like(density)
+    values[mask] = numerator[mask] / density[mask]
+    return values, mask, masked_mass
 
 
 @dataclass(frozen=True)
@@ -34,7 +54,7 @@ class LineDensity:
         return LineDensity(self.grid, self.values / self.total)
 
     def mask(self) -> np.ndarray:
-        return self.values > MASK_FLOOR * self.values.max()
+        return floor_mask(self.values)
 
     def masked_mass(self) -> float:
         return float(np.sum(self.values[~self.mask()]) * self.grid.dx)
@@ -73,7 +93,7 @@ class CircleDensity:
         return CircleDensity(self.values / self.total)
 
     def mask(self) -> np.ndarray:
-        return self.values > MASK_FLOOR * self.values.max()
+        return floor_mask(self.values)
 
     def value_at(self, phi: float) -> float:
         """Linear interpolation on the periodic grid."""
@@ -110,7 +130,7 @@ class PlaneDensity:
         return PlaneDensity(self.grid_x, self.grid_y, self.values / self.total)
 
     def mask(self) -> np.ndarray:
-        return self.values > MASK_FLOOR * self.values.max()
+        return floor_mask(self.values)
 
 
 @dataclass(frozen=True)

@@ -45,5 +45,9 @@ class ParseError(ExactUncertaintyError):
     """Malformed state or signal input."""
 
 
+class NonFiniteResult(ExactUncertaintyError):
+    """A computed report field is NaN, which strict JSON cannot hold."""
+
+
 BOX_TOO_SMALL = "BoxTooSmall"
 """Warning label attached to reports when a state does not decay at box edges."""

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import CircleDensity, DiscreteDistribution, LineDensity, PlaneDensity
+from .densities import (
+    MASKED_MASS_LIMIT,
+    CircleDensity,
+    DiscreteDistribution,
+    LineDensity,
+    PlaneDensity,
+    floor_mask,
+)
 from .errors import SingularInformation, UnstableStep, VanishingDensity
 from .grids import (
     GridSpec,
@@ -23,7 +30,7 @@ from .grids import (
     spectral_derivative,
     spectral_derivative_axis,
 )
-from .states import GridMixedState
+from .states import MixedState, ensemble_sum
 
 FINITE = "finite"
 ZERO_BY_DISCONTINUITY = "zero-by-discontinuity"
@@ -89,7 +96,7 @@ def _coarsening_study(p: np.ndarray, dx: float, periodic: bool) -> list[tuple[fl
             dq = periodic_central_difference(q, h)
         else:
             dq = local_derivative(q, h)
-        mask = q > 1e-12 * q.max()
+        mask = floor_mask(q)
         info = _information(q, dq, h, mask, periodic)
         study.append((h, float(info ** -0.5) if info > 0 else np.inf))
     return study
@@ -118,20 +125,27 @@ def fisher_length(density: LineDensity) -> FisherMetrics:
     mask = density.mask()
     masked_mass = density.masked_mass()
 
-    info_fd = max(_information(p, local_derivative(p, dx), dx, mask), 1e-300)
     decayed_edges = max(p[0], p[-1]) <= 1e-8 * p.max()
     if not decayed_edges:
+        info_fd = max(_information(p, local_derivative(p, dx), dx, mask), 1e-300)
         return FisherMetrics(info_fd ** -0.5, info_fd, FINITE, masked_mass, ())
 
     dp = np.real(spectral_derivative(p, density.grid))
-    info = max(_information(p, dp, dx, mask), 1e-300)
+    return _spectral_metrics(p, dp, density.grid, mask, masked_mass)
 
+
+def _spectral_metrics(p: np.ndarray, dp: np.ndarray, grid: GridSpec, mask: np.ndarray,
+                      masked_mass: float) -> FisherMetrics:
+    """Fisher metrics of a normalized line density from its spectral
+    derivative, diagnosed against local differences."""
+    info = max(_information(p, dp, grid.dx, mask), 1e-300)
     # near-flat densities carry ~no information; the derivative samples are
     # rounding noise and no diagnosis beyond "finite but huge" is possible
-    if info * density.grid.length ** 2 < UNIFORMITY_FLOOR:
+    if info * grid.length ** 2 < UNIFORMITY_FLOOR:
         return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, ())
 
-    study = _coarsening_study(p, dx, periodic=False)
+    info_fd = max(_information(p, local_derivative(p, grid.dx), grid.dx, mask), 1e-300)
+    study = _coarsening_study(p, grid.dx, periodic=False)
     if _jump_detected(info, info_fd):
         return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY,
                              masked_mass, tuple(study))
@@ -171,34 +185,26 @@ def fisher_length_periodic(density: CircleDensity) -> FisherMetrics:
     return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, tuple(study))
 
 
-def fisher_length_mixed(state: GridMixedState) -> FisherMetrics:
-    """Fisher length of the position density of a density matrix.
+def fisher_length_mixed(state: MixedState) -> FisherMetrics:
+    """Fisher length of the position density of a grid mixture.
 
     Uses the commutator representation: <x|[P,rho]|x> = -i*hbar * d/dx of the
-    diagonal density, evaluated by spectral differentiation of rho along each
-    index.  Agrees with fisher_length of the diagonal for smooth states.
+    diagonal density, here sum_i w_i 2 Re[psi_i' psi_i*] over the members
+    with spectral psi_i'.  Agrees with fisher_length of the diagonal for
+    smooth states.
     """
     grid = state.grid
-    d0 = spectral_derivative_axis(state.matrix, grid, axis=0)
-    d1 = spectral_derivative_axis(state.matrix, grid, axis=1)
-    comm_diag = np.diag(d0) + np.diag(d1)  # equals d/dx rho(x,x)
+    comm_diag = ensemble_sum(state, lambda s: 2.0 * np.real(
+        spectral_derivative(s.amplitudes, grid) * np.conj(s.amplitudes)))
     p = state.position_density()
     total = float(np.sum(p) * grid.dx)
     p = p / total
-    dp = np.real(comm_diag) / total
-    mask = p > 1e-12 * p.max()
+    dp = comm_diag / total
+    mask = floor_mask(p)
     masked_mass = float(np.sum(p[~mask]) * grid.dx)
-    if masked_mass > 0.2:
+    if masked_mass > MASKED_MASS_LIMIT:
         raise VanishingDensity("more than 20% of mass on masked points")
-    info = max(_information(p, dp, grid.dx, mask), 1e-300)
-    if info * grid.length ** 2 < UNIFORMITY_FLOOR:
-        return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, ())
-    info_fd = max(_information(p, local_derivative(p, grid.dx), grid.dx, mask), 1e-300)
-    study = _coarsening_study(p, grid.dx, periodic=False)
-    if _jump_detected(info, info_fd):
-        return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY,
-                             masked_mass, tuple(study))
-    return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, tuple(study))
+    return _spectral_metrics(p, dp, grid, mask, masked_mass)
 
 
 def phase_variance(density: CircleDensity, theta: float) -> float:

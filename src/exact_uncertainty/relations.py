@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .decomposition import classical_estimate
-from .densities import CircleDensity, LineDensity
+from .densities import CircleDensity, LineDensity, floor_mask
 from .errors import VanishingDensity
 from .fisher import (
     FINITE,
@@ -26,16 +26,17 @@ from .fisher import (
     fisher_length_periodic,
     phase_variance,
 )
-from .grids import spectral_derivative, spectral_derivative_axis
+from .grids import spectral_derivative
 from .states import (
     FiniteState,
-    FockMixedState,
     FockState,
-    GridMixedState,
     GridPureState,
-    PeriodicMixedState,
+    MixedState,
     PeriodicState,
+    ensemble_sum,
+    family,
     moment,
+    momentum_density,
     to_momentum,
     variance,
 )
@@ -79,6 +80,10 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
+        # strict JSON has no infinities: +-inf is written "inf" / "-inf" (the
+        # report's flag says why); a NaN is left for the emitter to refuse
+        if np.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
@@ -107,20 +112,20 @@ def verify_position_momentum(state, tol: float = TOL_GRID) -> RelationReport:
     hbar^2/(4 dX^2) + <P_cl^2> = int |<x|P rho|x>|^2 / <x|rho|x>  <=  <P^2>
     is verified separately and recorded in the notes.
     """
-    if isinstance(state, GridPureState):
-        return _verify_pure_grid(state, conjugate=False, tol=tol)
-    if isinstance(state, GridMixedState):
-        return _verify_mixed_grid(state, tol)
-    raise TypeError("verify_position_momentum needs a grid state")
+    if family(state) is not GridPureState:
+        raise TypeError("verify_position_momentum needs a grid state")
+    if isinstance(state, MixedState):
+        return _verify_mixed_grid(state, conjugate=False, tol=tol)
+    return _verify_pure_grid(state, conjugate=False, tol=tol)
 
 
 def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
     """Delta_X_nc * delta_P >= hbar/2, saturated by pure states."""
-    if isinstance(state, GridPureState):
-        return _verify_pure_grid(state, conjugate=True, tol=tol)
-    if isinstance(state, GridMixedState):
-        return _verify_mixed_grid_conjugate(state, tol)
-    raise TypeError("verify_conjugate needs a grid state")
+    if family(state) is not GridPureState:
+        raise TypeError("verify_conjugate needs a grid state")
+    if isinstance(state, MixedState):
+        return _verify_mixed_grid(state, conjugate=True, tol=tol)
+    return _verify_pure_grid(state, conjugate=True, tol=tol)
 
 
 def _verify_pure_grid(state: GridPureState, conjugate: bool, tol: float) -> RelationReport:
@@ -168,29 +173,39 @@ def _verify_pure_grid(state: GridPureState, conjugate: bool, tol: float) -> Rela
     return RelationReport(rel_id, left, 0.5 * hbar, residual, tol, verdict, notes)
 
 
-def _verify_mixed_grid(state: GridMixedState, tol: float) -> RelationReport:
+def _verify_mixed_grid(state: MixedState, conjugate: bool, tol: float) -> RelationReport:
     hbar = state.constants.hbar
     grid = state.grid
-    fm = fisher_length_mixed(state)
-    comp = classical_estimate(state, "position", "P")
-
-    # <x|P rho|x> = -i hbar d/dx rho(x, x') at x' = x
-    q = -1j * hbar * np.diag(spectral_derivative_axis(state.matrix, grid, axis=0))
-    p_diag = state.position_density()
-    mask = p_diag > 1e-12 * p_diag.max()
-    chain_rhs = float(np.sum(np.abs(q[mask]) ** 2 / p_diag[mask]) * grid.dx)
-
-    p_second = moment(state, "P", 2)
-    var_p = p_second - moment(state, "P", 1) ** 2
-    var_nc = var_p - comp.variance
-    delta_nc = float(np.sqrt(max(var_nc, 0.0)))
+    if conjugate:
+        rel_id = "conjugate-mixed"
+        fm = fisher_length(LineDensity(grid.conjugate_grid(hbar), momentum_density(state)[1]))
+        comp = classical_estimate(state, "momentum", "X")
+        var_b = variance(state, "X")
+    else:
+        rel_id = "xp-mixed"
+        fm = fisher_length_mixed(state)
+        comp = classical_estimate(state, "position", "P")
+        p_second = moment(state, "P", 2)
+        var_b = p_second - moment(state, "P", 1) ** 2
+    delta_nc = float(np.sqrt(max(var_b - comp.variance, 0.0)))
 
     notes = _grid_notes(state, fm, comp)
     notes["nonclassical_spread"] = delta_nc
     if fm.divergence_flag != FINITE:
         notes["flag"] = fm.divergence_flag
-        return RelationReport("xp-mixed", fm.fisher_length, 0.5 * hbar, 0.0, tol, FLAGGED, notes)
+        return RelationReport(rel_id, fm.fisher_length, 0.5 * hbar, 0.0, tol, FLAGGED, notes)
 
+    left = fm.fisher_length * delta_nc
+    residual, verdict = _lower_bound_verdict(left, 0.5 * hbar, tol)
+    if conjugate:
+        return RelationReport(rel_id, left, 0.5 * hbar, residual, tol, verdict, notes)
+
+    # <x|P rho|x> = -i hbar d/dx rho(x, x') at x' = x = -i hbar sum_i w_i psi_i' psi_i*
+    q = -1j * hbar * ensemble_sum(
+        state, lambda s: spectral_derivative(s.amplitudes, grid) * np.conj(s.amplitudes))
+    p_diag = state.position_density()
+    mask = floor_mask(p_diag)
+    chain_rhs = float(np.sum(np.abs(q[mask]) ** 2 / p_diag[mask]) * grid.dx)
     chain_lhs = hbar ** 2 / (4.0 * fm.fisher_length ** 2) + comp.second_moment
     link1_residual = abs(chain_lhs - chain_rhs) / abs(chain_rhs)
     link2_slack = p_second - chain_rhs
@@ -200,41 +215,13 @@ def _verify_mixed_grid(state: GridMixedState, tol: float) -> RelationReport:
     notes["chain_second_moment"] = p_second
     notes["chain_slack"] = link2_slack
 
-    dx_var = variance(state, "X")
-    heis = float(np.sqrt(dx_var * var_p))
+    heis = float(np.sqrt(variance(state, "X") * var_b))
     notes["heisenberg_product"] = heis
     notes["heisenberg_satisfied"] = bool(heis >= 0.5 * hbar * (1 - tol))
-
-    left = fm.fisher_length * delta_nc
-    residual, verdict = _lower_bound_verdict(left, 0.5 * hbar, tol)
     if link1_residual > tol or link2_slack < -tol * abs(p_second):
         verdict = VIOLATED
         residual = max(residual, link1_residual)
-    return RelationReport("xp-mixed", left, 0.5 * hbar, residual, tol, verdict, notes)
-
-
-def _verify_mixed_grid_conjugate(state: GridMixedState, tol: float) -> RelationReport:
-    from .states import _momentum_matrix
-
-    hbar = state.constants.hbar
-    rho_p = _momentum_matrix(state)
-    pgrid = state.grid.conjugate_grid(hbar)
-    dens = np.clip(np.real(np.diag(rho_p)), 0.0, None)
-    fm = fisher_length(LineDensity(pgrid, dens))
-    comp = classical_estimate(state, "momentum", "X")
-
-    var_x = variance(state, "X")
-    var_nc = var_x - comp.variance
-    delta_nc = float(np.sqrt(max(var_nc, 0.0)))
-    notes = _grid_notes(state, fm, comp)
-    notes["nonclassical_spread"] = delta_nc
-    if fm.divergence_flag != FINITE:
-        notes["flag"] = fm.divergence_flag
-        return RelationReport("conjugate-mixed", fm.fisher_length, 0.5 * hbar,
-                              0.0, tol, FLAGGED, notes)
-    left = delta_nc * fm.fisher_length
-    residual, verdict = _lower_bound_verdict(left, 0.5 * hbar, tol)
-    return RelationReport("conjugate-mixed", left, 0.5 * hbar, residual, tol, verdict, notes)
+    return RelationReport(rel_id, left, 0.5 * hbar, residual, tol, verdict, notes)
 
 
 def _grid_notes(state, fm, comp) -> dict:
@@ -257,12 +244,10 @@ def _grid_notes(state, fm, comp) -> dict:
 
 def verify_phase_angular(state, tol: float = TOL_GRID) -> RelationReport:
     """delta_Phi * Delta_J_nc = hbar/2 for pure rotator states (>= mixed)."""
-    if not isinstance(state, (PeriodicState, PeriodicMixedState)):
+    if family(state) is not PeriodicState:
         raise TypeError("verify_phase_angular needs a rotator state")
     hbar = state.constants.hbar
-    pure = isinstance(state, PeriodicState)
-    return _verify_circle(state, "J", 0.5 * hbar, "phase-angular", pure, tol,
-                          heis_scale=0.5 * hbar)
+    return _verify_circle(state, "J", 0.5 * hbar, "phase-angular", tol, heis_scale=0.5 * hbar)
 
 
 def verify_phase_number(state, tol: float = TOL_FOCK) -> RelationReport:
@@ -271,14 +256,13 @@ def verify_phase_number(state, tol: float = TOL_FOCK) -> RelationReport:
     The quadrature grid is doubled automatically and both values recorded,
     so slow phase-POM convergence is visible in the report.
     """
-    if not isinstance(state, (FockState, FockMixedState)):
+    if family(state) is not FockState:
         raise TypeError("verify_phase_number needs a photon-number state")
-    pure = isinstance(state, FockState)
-    return _verify_circle(state, "N", 0.5, "phase-number", pure, tol, heis_scale=0.5)
+    return _verify_circle(state, "N", 0.5, "phase-number", tol, heis_scale=0.5)
 
 
 def _verify_circle(state, observable: str, target: float, rel_id: str,
-                   pure: bool, tol: float, heis_scale: float) -> RelationReport:
+                   tol: float, heis_scale: float) -> RelationReport:
     m = state.default_phase_points()
     dens = CircleDensity(state.phase_density(m))
     fm = fisher_length_periodic(dens)
@@ -325,7 +309,7 @@ def _verify_circle(state, observable: str, target: float, rel_id: str,
         return RelationReport(rel_id, fm.fisher_length, target, 0.0, tol, FLAGGED, notes)
 
     left = fm.fisher_length * delta_nc
-    if pure:
+    if not isinstance(state, MixedState):
         residual, verdict = _equality_verdict(left, target, tol)
     else:
         residual, verdict = _lower_bound_verdict(left, target, tol)
@@ -350,7 +334,7 @@ def verify_general(state, a_observable: np.ndarray,
     """
     if isinstance(state, GridPureState):
         state = FiniteState.from_vector(state.amplitudes * np.sqrt(state.grid.dx))
-    elif isinstance(state, GridMixedState):
+    elif isinstance(state, MixedState) and family(state) is GridPureState:
         state = FiniteState(state.matrix * state.grid.dx)
     a = np.asarray(a_observable, dtype=complex)
     b = np.asarray(b_observable, dtype=complex)

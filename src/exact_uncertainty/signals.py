@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import LineDensity
+from .densities import MASKED_MASS_LIMIT, LineDensity, floor_mask
 from .errors import ParseError, VanishingDensity
 from .fisher import ZERO_BY_DISCONTINUITY, fisher_length
 from .grids import GridSpec, spectral_derivative
@@ -99,8 +99,8 @@ def instantaneous_frequency(signal: SignalRecord) -> tuple[np.ndarray, np.ndarra
     a = signal.amplitudes
     da = spectral_derivative(a, signal.grid)
     dens = np.abs(a) ** 2
-    mask = dens > 1e-12 * dens.max()
-    if np.sum(dens[~mask]) * signal.dt > 0.2:
+    mask = floor_mask(dens)
+    if np.sum(dens[~mask]) * signal.dt > MASKED_MASS_LIMIT:
         raise VanishingDensity("signal envelope vanishes on > 20% of energy")
     values = np.zeros(signal.grid.n_points)
     values[mask] = np.imag(np.conj(a[mask]) * da[mask]) / (2.0 * np.pi * dens[mask])

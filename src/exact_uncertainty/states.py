@@ -10,11 +10,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import UnsupportedObservable, ZeroNorm
+from .errors import ParseError, UnsupportedObservable, ZeroNorm
 from .grids import GridSpec
 
 NORM_TOL = 1e-10
 EDGE_DECAY = 1e-12  # box convention: amplitude at edges relative to peak
+HERMITIAN_TOL = 1e-10  # density matrices: anti-Hermitian part and negative eigenvalues
+EIGEN_FLOOR = 1e-12  # density-matrix eigenvalues below this fraction of the largest are dropped
 
 
 @dataclass(frozen=True)
@@ -58,58 +60,6 @@ class GridPureState:
         a = np.abs(self.amplitudes)
         peak = a.max()
         return bool(peak > 0 and max(a[0], a[-1]) > EDGE_DECAY * peak)
-
-
-@dataclass(frozen=True)
-class GridMixedState:
-    """Density-matrix samples rho(x_k, x_l) on a uniform grid.
-
-    Trace convention: sum(diag) * dx = 1, matching the continuum kernel.
-    """
-
-    grid: GridSpec
-    matrix: np.ndarray
-    constants: Constants = field(default_factory=Constants)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        n = self.grid.n_points
-        if mat.shape != (n, n):
-            raise ValueError("matrix shape does not match grid")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > 1e-10 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("density matrix is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_ensemble(cls, weighted_states) -> "GridMixedState":
-        """Mix (weight, GridPureState) pairs; weights are renormalized."""
-        weights = np.array([w for w, _ in weighted_states], dtype=float)
-        weights = weights / weights.sum()
-        first = weighted_states[0][1]
-        mat = np.zeros((first.grid.n_points,) * 2, dtype=complex)
-        for w, st in zip(weights, (s for _, s in weighted_states)):
-            if st.grid != first.grid:
-                raise ValueError("ensemble members must share one grid")
-            mat += w * np.outer(st.amplitudes, st.amplitudes.conj())
-        return cls(first.grid, mat, first.constants)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)) * self.grid.dx)
-
-    @property
-    def purity(self) -> float:
-        # tr[rho^2] = sum |rho_ij|^2 for Hermitian rho
-        return float(np.sum(np.abs(self.matrix) ** 2) * self.grid.dx ** 2)
-
-    def position_density(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix))
-
-    def box_warning(self) -> bool:
-        d = np.abs(np.diag(self.matrix))
-        peak = d.max()
-        return bool(peak > 0 and max(d[0], d[-1]) > (EDGE_DECAY ** 2) * peak)
 
 
 @dataclass(frozen=True)
@@ -251,117 +201,150 @@ class FockState:
 
 
 @dataclass(frozen=True)
+class MixedState:
+    """Density operator rho = sum_i w_i |psi_i><psi_i| over pure members of
+    one family (grid, rotator or Fock) on one grid or label range.
+
+    Every quantity linear in rho is the weighted sum of the members' pure
+    quantity (:func:`ensemble_sum`); no n x n matrix is held.  For the grid
+    family the trace convention is sum(diag) * dx = 1, as for the continuum
+    kernel.
+    """
+
+    weights: np.ndarray
+    members: tuple
+
+    # the space the members share, read through the first member
+    SHARED = frozenset({"grid", "constants", "default_phase_points", "phase_grid"})
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=float)
+        members = tuple(self.members)
+        if not members or weights.shape != (len(members),):
+            raise ValueError("need one weight per member and at least one member")
+        if not np.all(np.isfinite(weights)) or weights.min() < 0.0:
+            raise ValueError("weights must be finite and nonnegative")
+        spaces = {(type(m), getattr(m, "grid", None), getattr(m, "j_min", None),
+                   m.amplitudes.shape, m.constants) for m in members}
+        if len(spaces) != 1 or type(members[0]) not in (GridPureState, PeriodicState, FockState):
+            raise ValueError("members must be grid, rotator or Fock pure states on one space")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "members", members)
+
+    @classmethod
+    def from_ensemble(cls, weighted_states) -> "MixedState":
+        """Mix (weight, pure state) pairs; weights are renormalized."""
+        weights = np.array([w for w, _ in weighted_states], dtype=float)
+        return cls(weights / weights.sum(), tuple(s for _, s in weighted_states))
+
+    def __getattr__(self, name):
+        if name in MixedState.SHARED:
+            return getattr(self.members[0], name)
+        raise AttributeError(name)
+
+    @property
+    def trace(self) -> float:
+        return float(ensemble_sum(self, lambda s: s.norm_squared))
+
+    @property
+    def purity(self) -> float:
+        """tr[rho^2] = sum_ij w_i w_j |<psi_i|psi_j>|^2."""
+        amps = np.array([m.amplitudes for m in self.members])
+        overlaps = np.abs(amps.conj() @ amps.T * _measure(self.members[0])) ** 2
+        return float(self.weights @ overlaps @ self.weights)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """sum_i w_i psi_i psi_i^dagger, built on request (n x n)."""
+        amps = np.array([m.amplitudes for m in self.members])
+        return (amps.T * self.weights) @ amps.conj()
+
+    def position_density(self) -> np.ndarray:
+        return ensemble_sum(self, GridPureState.position_density)
+
+    def phase_density(self, m: int | None = None) -> np.ndarray:
+        return ensemble_sum(self, lambda s: s.phase_density(m))
+
+    def box_warning(self) -> bool:
+        d = self.position_density()
+        peak = d.max()
+        return bool(peak > 0 and max(d[0], d[-1]) > (EDGE_DECAY ** 2) * peak)
+
+
+def ensemble_sum(state, quantity):
+    """quantity(state) for a pure state; sum_i w_i quantity(psi_i) over the
+    members of a MixedState, which is exact for any quantity linear in rho."""
+    if not isinstance(state, MixedState):
+        return quantity(state)
+    total = 0.0
+    for weight, member in zip(state.weights, state.members):
+        total = total + weight * quantity(member)
+    return total
+
+
+def family(state) -> type:
+    """The pure class of a state, or of a mixture's members."""
+    return type(state.members[0]) if isinstance(state, MixedState) else type(state)
+
+
+def _measure(state) -> float:
+    """Quadrature weight of one amplitude: dx on a grid, 1 on labels."""
+    return state.grid.dx if isinstance(state, GridPureState) else 1.0
+
+
+def _factor(matrix, template) -> MixedState:
+    """The shared density-matrix constructor, for members shaped like ``template``.
+
+    rho * measure is factored once with eigh into sum_i lambda_i v_i v_i^dagger;
+    each retained v_i becomes a member with amplitudes v_i / sqrt(measure) and
+    weight lambda_i.  Eigenvalues below EIGEN_FLOOR of the largest are
+    dropped and the weights renormalized, so the trace is normalized here.
+    A clearly negative eigenvalue raises ValueError, a zero matrix ZeroNorm.
+    """
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.shape != (template.amplitudes.size,) * 2:
+        raise ValueError("matrix shape does not match the grid")
+    # written so that a NaN or an infinity fails the test
+    if not (np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL * max(1.0, np.max(np.abs(mat)))):
+        raise ValueError("density matrix is not finite and Hermitian")
+    measure = _measure(template)
+    eigvals, eigvecs = np.linalg.eigh(mat * measure)
+    _check_scale(float(np.max(np.abs(eigvals))))
+    if eigvals[0] < -HERMITIAN_TOL * abs(eigvals[-1]):
+        raise ValueError("density matrix is not positive semidefinite")
+    keep = np.flatnonzero(eigvals > EIGEN_FLOOR * eigvals[-1])[::-1]
+    return MixedState.from_ensemble(
+        [(eigvals[i], replace(template, amplitudes=eigvecs[:, i] / np.sqrt(measure)))
+         for i in keep])
+
+
+class GridMixedState:
+    """Grid density matrix rho(x_k, x_l), factored into a MixedState."""
+
+    from_ensemble = MixedState.from_ensemble
+
+    def __new__(cls, grid: GridSpec, matrix, constants: Constants | None = None):
+        return _factor(matrix, GridPureState(grid, np.zeros(grid.n_points),
+                                             constants or Constants()))
+
+
 class PeriodicMixedState:
-    """Rotator density matrix in the angular-momentum basis."""
+    """Rotator density matrix over j_min..j_max, factored into a MixedState."""
 
-    j_min: int
-    j_max: int
-    matrix: np.ndarray
-    constants: Constants = field(default_factory=Constants)
+    from_ensemble = MixedState.from_ensemble
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.j_max - self.j_min + 1
-        if mat.shape != (d, d):
-            raise ValueError("matrix shape does not match j range")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("density matrix is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_ensemble(cls, weighted_states) -> "PeriodicMixedState":
-        weights = np.array([w for w, _ in weighted_states], dtype=float)
-        weights = weights / weights.sum()
-        first = weighted_states[0][1]
-        d = first.j_max - first.j_min + 1
-        mat = np.zeros((d, d), dtype=complex)
-        for w, st in zip(weights, (s for _, s in weighted_states)):
-            mat += w * np.outer(st.amplitudes, st.amplitudes.conj())
-        return cls(first.j_min, first.j_max, mat, first.constants)
-
-    @property
-    def j_values(self) -> np.ndarray:
-        return np.arange(self.j_min, self.j_max + 1)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def default_phase_points(self) -> int:
-        span = self.j_max - self.j_min + 1
-        m = 256
-        while m < 8 * span:
-            m *= 2
-        return m
-
-    def phase_grid(self, m: int | None = None) -> np.ndarray:
-        m = m or self.default_phase_points()
-        return 2.0 * np.pi * np.arange(m) / m
-
-    def phase_kernel(self, m: int | None = None) -> np.ndarray:
-        """Rows <phi_m| restricted to the j window: e^{+i j phi} / sqrt(2 pi)."""
-        m = m or self.default_phase_points()
-        phi = self.phase_grid(m)
-        return np.exp(1j * np.outer(phi, self.j_values)) / np.sqrt(2.0 * np.pi)
-
-    def phase_density(self, m: int | None = None) -> np.ndarray:
-        t = self.phase_kernel(m)
-        return np.real(np.einsum("mj,jk,mk->m", t, self.matrix, t.conj()))
+    def __new__(cls, j_min: int, j_max: int, matrix, constants: Constants | None = None):
+        return _factor(matrix, PeriodicState(j_min, j_max, np.zeros(j_max - j_min + 1),
+                                             constants or Constants()))
 
 
-@dataclass(frozen=True)
 class FockMixedState:
-    """Photon-number density matrix in the number basis."""
+    """Photon-number density matrix over n = 0..n_max, factored into a MixedState."""
 
-    n_max: int
-    matrix: np.ndarray
-    constants: Constants = field(default_factory=Constants)
+    from_ensemble = MixedState.from_ensemble
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.n_max + 1, self.n_max + 1):
-            raise ValueError("matrix shape does not match n_max")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("density matrix is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_ensemble(cls, weighted_states) -> "FockMixedState":
-        weights = np.array([w for w, _ in weighted_states], dtype=float)
-        weights = weights / weights.sum()
-        first = weighted_states[0][1]
-        mat = np.zeros((first.n_max + 1,) * 2, dtype=complex)
-        for w, st in zip(weights, (s for _, s in weighted_states)):
-            mat += w * np.outer(st.amplitudes, st.amplitudes.conj())
-        return cls(first.n_max, mat, first.constants)
-
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(self.n_max + 1)
-
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def default_phase_points(self) -> int:
-        m = 1024
-        while m < 32 * (self.n_max + 1):
-            m *= 2
-        return m
-
-    def phase_grid(self, m: int | None = None) -> np.ndarray:
-        m = m or self.default_phase_points()
-        return 2.0 * np.pi * np.arange(m) / m
-
-    def phase_kernel(self, m: int | None = None) -> np.ndarray:
-        """Rows <phi_m|: e^{-i n phi} / sqrt(2 pi)."""
-        m = m or self.default_phase_points()
-        phi = self.phase_grid(m)
-        return np.exp(-1j * np.outer(phi, self.n_values)) / np.sqrt(2.0 * np.pi)
-
-    def phase_density(self, m: int | None = None) -> np.ndarray:
-        t = self.phase_kernel(m)
-        return np.real(np.einsum("mj,jk,mk->m", t, self.matrix, t.conj()))
+    def __new__(cls, n_max: int, matrix, constants: Constants | None = None):
+        return _factor(matrix, FockState(n_max, np.zeros(n_max + 1), constants or Constants()))
 
 
 @dataclass(frozen=True)
@@ -398,17 +381,10 @@ class FiniteState:
 
 
 def normalize(state):
-    """Return the unit-norm version of any state; direction and phase kept."""
-    if isinstance(state, GridPureState):
+    """Return the unit-norm version of a pure or finite state; direction and
+    phase kept.  A MixedState has renormalized weights from construction."""
+    if isinstance(state, (GridPureState, Grid2DPureState, PeriodicState, FockState)):
         return _scale_check(state, state.norm_squared)
-    if isinstance(state, Grid2DPureState):
-        return _scale_check(state, state.norm_squared)
-    if isinstance(state, (PeriodicState, FockState)):
-        return _scale_check(state, state.norm_squared)
-    if isinstance(state, (GridMixedState, PeriodicMixedState, FockMixedState)):
-        tr = state.trace
-        _check_scale(tr)
-        return replace(state, matrix=state.matrix / tr)
     if isinstance(state, FiniteState):
         tr = float(np.real(np.trace(state.matrix)))
         _check_scale(tr)
@@ -471,55 +447,32 @@ def from_momentum(state: GridPureState, xgrid: GridSpec) -> GridPureState:
 
 
 def momentum_density(state) -> tuple[np.ndarray, np.ndarray]:
-    """(p values sorted, |psi~(p)|^2) for a grid pure or mixed state."""
-    if isinstance(state, GridPureState):
-        mom = to_momentum(state)
-        return mom.grid.points(), np.abs(mom.amplitudes) ** 2
-    if isinstance(state, GridMixedState):
-        rho_p = _momentum_matrix(state)
-        pgrid = state.grid.conjugate_grid(state.constants.hbar)
-        return pgrid.points(), np.real(np.diag(rho_p))
-    raise UnsupportedObservable("momentum density needs a grid state")
-
-
-def _momentum_matrix(state: GridMixedState) -> np.ndarray:
-    """rho in the momentum representation (sorted lattice), trace dp = 1."""
-    grid, hbar = state.grid, state.constants.hbar
-    k = grid.wavenumbers()
-    phases = np.exp(-1j * k * grid.x_min)
-    # forward transform on axis 0, conjugate transform on axis 1
-    m = np.fft.fft(state.matrix, axis=0) * phases[:, None]
-    m = np.conj(np.fft.fft(np.conj(m), axis=1)) * np.conj(phases)[None, :]
-    m *= grid.dx ** 2 / (2.0 * np.pi * hbar)
-    return np.fft.fftshift(m)
+    """(p values sorted, momentum density) for a grid pure state or mixture."""
+    if family(state) is not GridPureState:
+        raise UnsupportedObservable("momentum density needs a grid state")
+    p = state.grid.conjugate_grid(state.constants.hbar).points()
+    return p, ensemble_sum(state, lambda s: np.abs(to_momentum(s).amplitudes) ** 2)
 
 
 def moment(state, observable: str, k: int = 1) -> float:
     """<B^k> for B in {X, P, J, N}, k = 1 or 2, via the natural quadrature."""
     if k not in (1, 2):
         raise ValueError("only first and second moments are supported")
-    if observable == "X":
-        if isinstance(state, GridPureState) or isinstance(state, GridMixedState):
-            x = state.grid.points()
-            p = state.position_density()
-            return float(np.sum(x ** k * p) * state.grid.dx)
-    elif observable == "P":
-        if isinstance(state, (GridPureState, GridMixedState)):
-            p, dens = momentum_density(state)
-            dp = state.grid.momentum_spacing(state.constants.hbar)
-            return float(np.sum(p ** k * dens) * dp)
-    elif observable == "J":
-        if isinstance(state, PeriodicState):
-            jv = state.constants.hbar * state.j_values
-            return float(np.sum(jv ** k * np.abs(state.amplitudes) ** 2))
-        if isinstance(state, PeriodicMixedState):
-            jv = state.constants.hbar * state.j_values
-            return float(np.sum(jv ** k * np.real(np.diag(state.matrix))))
-    elif observable == "N":
-        if isinstance(state, FockState):
-            return float(np.sum(state.n_values ** k * np.abs(state.amplitudes) ** 2))
-        if isinstance(state, FockMixedState):
-            return float(np.sum(state.n_values ** k * np.real(np.diag(state.matrix))))
+    if isinstance(state, MixedState):
+        return float(ensemble_sum(state, lambda s: moment(s, observable, k)))
+    if observable == "X" and isinstance(state, GridPureState):
+        x = state.grid.points()
+        p = state.position_density()
+        return float(np.sum(x ** k * p) * state.grid.dx)
+    if observable == "P" and isinstance(state, GridPureState):
+        p, dens = momentum_density(state)
+        dp = state.grid.momentum_spacing(state.constants.hbar)
+        return float(np.sum(p ** k * dens) * dp)
+    if observable == "J" and isinstance(state, PeriodicState):
+        jv = state.constants.hbar * state.j_values
+        return float(np.sum(jv ** k * np.abs(state.amplitudes) ** 2))
+    if observable == "N" and isinstance(state, FockState):
+        return float(np.sum(state.n_values ** k * np.abs(state.amplitudes) ** 2))
     raise UnsupportedObservable(f"{observable!r} is not defined for {type(state).__name__}")
 
 
@@ -585,65 +538,61 @@ def _evolve_rotator(state: PeriodicState, potential, dt: float) -> PeriodicState
 
 
 def state_to_dict(state) -> dict:
-    """Serialize a state to the JSON-ready schema dictionary."""
-    if isinstance(state, GridPureState):
-        return {
-            "family": "grid",
-            "grid": {"n_points": state.grid.n_points, "x_min": state.grid.x_min,
-                     "x_max": state.grid.x_max},
-            "amplitudes": _complex_list(state.amplitudes),
-        }
-    if isinstance(state, GridMixedState):
-        return {
-            "family": "grid",
-            "grid": {"n_points": state.grid.n_points, "x_min": state.grid.x_min,
-                     "x_max": state.grid.x_max},
-            "matrix": [_complex_list(row) for row in state.matrix],
-        }
-    if isinstance(state, PeriodicState):
-        return {
-            "family": "periodic",
-            "grid": {"j_min": state.j_min, "j_max": state.j_max},
-            "amplitudes": _complex_list(state.amplitudes),
-        }
-    if isinstance(state, FockState):
-        return {
-            "family": "fock",
-            "grid": {"n_max": state.n_max},
-            "amplitudes": _complex_list(state.amplitudes),
-        }
+    """Serialize a state to the JSON-ready schema dictionary; a mixture is
+    written as its family's document with ``matrix`` in place of
+    ``amplitudes``."""
+    if isinstance(state, MixedState):
+        doc = state_to_dict(state.members[0])
+        del doc["amplitudes"]
+        doc["matrix"] = [_complex_list(row) for row in state.matrix]
+        return doc
     if isinstance(state, FiniteState):
         return {
             "family": "finite",
             "grid": {"dimension": state.dimension},
             "matrix": [_complex_list(row) for row in state.matrix],
         }
-    raise UnsupportedObservable(f"cannot serialize {type(state).__name__}")
+    if isinstance(state, GridPureState):
+        name, grid = "grid", {"n_points": state.grid.n_points, "x_min": state.grid.x_min,
+                              "x_max": state.grid.x_max}
+    elif isinstance(state, PeriodicState):
+        name, grid = "periodic", {"j_min": state.j_min, "j_max": state.j_max}
+    elif isinstance(state, FockState):
+        name, grid = "fock", {"n_max": state.n_max}
+    else:
+        raise UnsupportedObservable(f"cannot serialize {type(state).__name__}")
+    return {"family": name, "grid": grid, "amplitudes": _complex_list(state.amplitudes)}
 
 
 def state_from_dict(doc: dict, constants: Constants | None = None):
-    """Parse the JSON schema dictionary back into a state object."""
-    from .errors import ParseError
+    """Parse the JSON schema dictionary back into a normalized state.
 
+    Every state is normalized at load.  Non-finite entries and density
+    matrices that are not Hermitian positive semidefinite raise ParseError,
+    a zero state ZeroNorm.
+    """
     constants = constants or Constants()
     try:
-        family = doc["family"]
+        name = doc["family"]
         grid = doc.get("grid", {})
-        if family == "grid":
-            spec = GridSpec(int(grid["n_points"]), float(grid["x_min"]), float(grid["x_max"]))
-            if "matrix" in doc:
-                return GridMixedState(spec, _complex_array(doc["matrix"]), constants)
-            return GridPureState(spec, _complex_array(doc["amplitudes"]), constants)
-        if family == "periodic":
-            return PeriodicState(int(grid["j_min"]), int(grid["j_max"]),
-                                 _complex_array(doc["amplitudes"]), constants)
-        if family == "fock":
-            return FockState(int(grid["n_max"]), _complex_array(doc["amplitudes"]), constants)
-        if family == "finite":
-            return FiniteState(_complex_array(doc["matrix"]))
+        if name == "grid":
+            labels = (GridSpec(int(grid["n_points"]), float(grid["x_min"]), float(grid["x_max"])),)
+            pure, mixed = GridPureState, GridMixedState
+        elif name == "periodic":
+            labels = (int(grid["j_min"]), int(grid["j_max"]))
+            pure, mixed = PeriodicState, PeriodicMixedState
+        elif name == "fock":
+            labels = (int(grid["n_max"]),)
+            pure, mixed = FockState, FockMixedState
+        elif name == "finite":
+            return normalize(FiniteState(_complex_array(doc["matrix"])))
+        else:
+            raise ParseError(f"unknown state family {name!r}")
+        if "matrix" in doc:
+            return mixed(*labels, _complex_array(doc["matrix"]), constants)
+        return normalize(pure(*labels, _complex_array(doc["amplitudes"]), constants))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad state document: {exc}") from exc
-    raise ParseError(f"unknown state family {doc.get('family')!r}")
 
 
 def _complex_list(values) -> list:
@@ -652,6 +601,8 @@ def _complex_list(values) -> list:
 
 def _complex_array(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import ClassicalComponent, classical_estimate
-from .densities import MASK_FLOOR, PlaneDensity
+from .densities import MASKED_MASS_LIMIT, PlaneDensity, floor_mask
 from .errors import GridResolution, VanishingDensity
 from .fisher import inverse_information, plane_information_rows
 from .grids import GridSpec, row_blocks, spectral_derivative_axis
@@ -103,8 +103,8 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     cov_p = momentum_covariance(state)
 
     p = state.position_density()
-    mask = p > MASK_FLOOR * p.max()
-    if np.sum(p[~mask]) * w > 0.2:
+    mask = floor_mask(p)
+    if np.sum(p[~mask]) * w > MASKED_MASS_LIMIT:
         raise VanishingDensity("2D density vanishes on > 20% of mass")
 
     # the buffer first gives the density's x1 gradient (Fisher information),

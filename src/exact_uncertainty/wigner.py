@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VanishingDensity
+from .densities import masked_ratio
 from .grids import GridSpec, fourier_interpolate
-from .states import GridMixedState, GridPureState
+from .states import GridPureState, ensemble_sum, family
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,8 @@ class WignerGrid:
 
 
 def wigner_transform(state) -> WignerGrid:
-    """Wigner function of a grid pure or mixed state."""
-    if isinstance(state, GridPureState):
-        fine = fourier_interpolate(state.amplitudes, 2)
-        lookup = lambda a, b: fine[a] * np.conj(fine[b])  # rho(x-xi/2, x+xi/2)
-        warn = state.box_warning()
-    elif isinstance(state, GridMixedState):
-        fine_matrix = fourier_interpolate(state.matrix, 2)
-        lookup = lambda a, b: fine_matrix[a, b]
-        warn = state.box_warning()
-    else:
+    """Wigner function of a grid pure state or mixture (one FFT either way)."""
+    if family(state) is not GridPureState:
         raise TypeError("wigner_transform needs a grid state")
 
     grid = state.grid
@@ -64,8 +56,14 @@ def wigner_transform(state) -> WignerGrid:
     a = np.mod(2 * i + offset, 2 * n)
     b = np.mod(2 * i - offset, 2 * n)
     # rho(x + xi/2, x - xi/2): the orientation for which the x-integral
-    # reproduces the momentum density (rather than its mirror image)
-    slices = lookup(a, b)
+    # reproduces the momentum density (rather than its mirror image), summed
+    # over the members of a mixture
+
+    def member_slices(member):
+        fine = fourier_interpolate(member.amplitudes, 2)
+        return fine[a] * np.conj(fine[b])
+
+    slices = ensemble_sum(state, member_slices)
 
     spec = np.fft.fft(slices, axis=1)
     signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # e^{+i pi j} for the xi offset
@@ -74,7 +72,7 @@ def wigner_transform(state) -> WignerGrid:
     w = np.fft.fftshift(np.real(w), axes=1)
 
     pgrid = grid.conjugate_grid(hbar)
-    return WignerGrid(grid, pgrid, w, residue, warn)
+    return WignerGrid(grid, pgrid, w, residue, state.box_warning())
 
 
 def wigner_average_momentum(w: WignerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,28 +81,20 @@ def wigner_average_momentum(w: WignerGrid) -> tuple[np.ndarray, np.ndarray, np.n
     Rows whose marginal is below threshold (nodes of the density) are
     masked, mirroring the density masking of the decomposition module.
     """
-    marginal = w.position_marginal()
-    mask = marginal > 1e-12 * marginal.max()
-    if np.sum(marginal[~mask]) * w.x_grid.dx > 0.2:
-        raise VanishingDensity("position marginal vanishes on > 20% of mass")
     p = w.p_grid.points()
     first = np.sum(w.values * p[None, :], axis=1) * w.p_grid.dx
-    values = np.zeros_like(marginal)
-    values[mask] = first[mask] / marginal[mask]
+    values, mask, _ = masked_ratio(first, w.position_marginal(), w.x_grid.dx,
+                                   "position marginal")
     return w.x_grid.points(), values, mask
 
 
 def position_classical_in_momentum(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p values, X_cl(p), retained mask) via the Wigner first moment over x."""
     w = wigner_transform(state)
-    marginal = w.momentum_marginal()
-    mask = marginal > 1e-12 * marginal.max()
-    if np.sum(marginal[~mask]) * w.p_grid.dx > 0.2:
-        raise VanishingDensity("momentum marginal vanishes on > 20% of mass")
     x = w.x_grid.points()
     first = np.sum(w.values * x[:, None], axis=0) * w.x_grid.dx
-    values = np.zeros_like(marginal)
-    values[mask] = first[mask] / marginal[mask]
+    values, mask, _ = masked_ratio(first, w.momentum_marginal(), w.p_grid.dx,
+                                   "momentum marginal")
     return w.p_grid.points(), values, mask
 
 

@@ -1,10 +1,20 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from exact_uncertainty import cli
 from exact_uncertainty.cli import main
-from exact_uncertainty.states import gaussian_state, state_to_dict
+from exact_uncertainty.random_states import random_fock_state, random_periodic_state
+from exact_uncertainty.states import (
+    FockMixedState,
+    GridMixedState,
+    PeriodicMixedState,
+    fock_basis_state,
+    gaussian_state,
+    state_to_dict,
+)
 from exact_uncertainty.grids import GridSpec
 
 
@@ -169,3 +179,92 @@ def test_epr_demo_default_grid_is_library_sizing(tmp_path):
         collapse["formula_prediction"], abs=1e-5)
     assert doc["correlations"]["relation_residual"] < 1e-3
     assert doc["covariances"]["matrix_product_residual"] < 1e-4
+
+
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def _loader_case(kind):
+    """A state document that the loader must accept or reject."""
+    grid = GridSpec(256, -12.0, 12.0)
+    a = gaussian_state(grid, 1.0, center=-1.0)
+    b = gaussian_state(grid, 0.8, center=1.5, momentum=1.0)
+    doc = state_to_dict(a)
+    amps = np.array(doc["amplitudes"])
+    if kind == "nan-amplitude":
+        amps[100, 0] = np.nan
+    elif kind == "inf-amplitude":
+        amps[100, 1] = np.inf
+    elif kind == "zero-state":
+        amps[:] = 0.0
+    elif kind == "scaled-state":
+        amps *= 3.0
+    elif kind in ("non-positive-matrix", "zero-matrix"):
+        mat = (np.outer(a.amplitudes, a.amplitudes.conj())
+               - 0.3 * np.outer(b.amplitudes, b.amplitudes.conj()))
+        doc = state_to_dict(GridMixedState.from_ensemble([(1.0, a)]))
+        doc["matrix"] = np.stack([mat.real, mat.imag], axis=-1) * (kind != "zero-matrix")
+        return doc
+    doc["amplitudes"] = amps
+    return doc
+
+
+@pytest.mark.parametrize("kind, code, error_kind", [
+    ("nan-amplitude", 2, "parse"),
+    ("inf-amplitude", 2, "parse"),
+    ("zero-state", 3, "ZeroNorm"),
+    ("non-positive-matrix", 2, "parse"),
+    ("zero-matrix", 3, "ZeroNorm"),
+    ("scaled-state", 0, None),  # normalized at load
+])
+def test_state_loading_exit_codes(tmp_path, kind, code, error_kind):
+    doc = _loader_case(kind)
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(doc, default=lambda arr: arr.tolist()))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way either
+        assert main(["verify", str(state_path), "--out", str(out)]) == code
+    report = json.loads(out.read_text(), parse_constant=_reject_non_finite)
+    if error_kind is None:
+        assert report["reports"][0]["verdict"] == "equality"
+    else:
+        assert report["kind"] == error_kind
+
+
+def test_reports_are_strict_json(tmp_path):
+    # a number eigenstate has a flat phase density: its Fisher length is
+    # infinite and the report says so with the "inf" string and its flag
+    state_path = tmp_path / "fock.json"
+    state_path.write_text(json.dumps(state_to_dict(fock_basis_state(3, 8))))
+    out = tmp_path / "out.json"
+    assert main(["verify", str(state_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(), parse_constant=_reject_non_finite)["reports"][0]
+    assert report["left"] == "inf"
+    assert report["notes"]["flag"] == "infinite-by-uniformity"
+
+
+def test_nan_in_report_exits_three(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli.COMMANDS, "diffusion", lambda config, args: (0, {"x": np.nan}))
+    out = tmp_path / "out.json"
+    assert main(["diffusion", "--out", str(out)]) == 3
+    report = json.loads(out.read_text(), parse_constant=_reject_non_finite)
+    assert report["kind"] == "NonFiniteResult"
+
+
+@pytest.mark.parametrize("mixture, relation", [
+    (lambda rng: PeriodicMixedState.from_ensemble(
+        [(0.5, random_periodic_state(rng)), (0.5, random_periodic_state(rng))]),
+     "phase-angular"),
+    (lambda rng: FockMixedState.from_ensemble(
+        [(0.5, random_fock_state(rng, 30, mean=2.0)), (0.5, random_fock_state(rng, 30, mean=4.0))]),
+     "phase-number"),
+])
+def test_mixture_file_relation_follows_member_family(tmp_path, rng, mixture, relation):
+    state_path = tmp_path / "mixture.json"
+    state_path.write_text(json.dumps(state_to_dict(mixture(rng))))
+    code, report = run(["verify", str(state_path)], tmp_path / "out.json")
+    assert code == 0
+    assert report["reports"][0]["relation_id"] == relation
+    assert report["reports"][0]["verdict"] in ("inequality-satisfied", "flagged-infinite")

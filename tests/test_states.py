@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from exact_uncertainty.decomposition import classical_estimate
 from exact_uncertainty.errors import UnsupportedObservable, ZeroNorm
 from exact_uncertainty.grids import GridSpec
+from exact_uncertainty.random_states import (
+    random_finite_state,
+    random_fock_state,
+    random_periodic_state,
+    random_smooth_grid_state,
+)
 from exact_uncertainty.states import (
     Constants,
+    FiniteState,
+    FockMixedState,
     FockState,
     GridMixedState,
     GridPureState,
+    MixedState,
+    PeriodicMixedState,
     PeriodicState,
     evolve_step,
     fock_basis_state,
@@ -207,6 +219,59 @@ class TestMixed:
         with pytest.raises(ValueError):
             GridMixedState(grid, mat)
 
+    def test_matrix_is_factored_and_normalized(self):
+        small = GridSpec(128, -10.0, 10.0)
+        a = gaussian_state(small, 1.0, center=-1.5)
+        b = gaussian_state(small, 0.8, center=1.5, momentum=1.0)
+        mix = GridMixedState.from_ensemble([(0.6, a), (0.4, b)])
+        back = GridMixedState(small, 3.0 * mix.matrix)
+        assert isinstance(back, MixedState) and len(back.members) == 2
+        assert back.trace == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(back.matrix - mix.matrix)) < 1e-12
+
+    def test_non_positive_and_zero_matrices_rejected(self):
+        small = GridSpec(64, -8.0, 8.0)
+        a = gaussian_state(small, 1.0, center=-1.0).amplitudes
+        b = gaussian_state(small, 1.0, center=1.0).amplitudes
+        with pytest.raises(ValueError):
+            GridMixedState(small, np.outer(a, a.conj()) - 0.3 * np.outer(b, b.conj()))
+        with pytest.raises(ZeroNorm):
+            FockMixedState(3, np.zeros((4, 4)))
+
+    def test_member_sums_match_matrix_oracle(self, rng):
+        # the n x n sandwiches <a|rho|a> and <a|B rho + rho B|a>/2, evaluated
+        # on rho itself with explicit kernels, against the member sums
+        small = GridSpec(256, -12.0, 12.0)
+        mix = GridMixedState.from_ensemble([(0.3, random_smooth_grid_state(rng, small)),
+                                            (0.7, random_smooth_grid_state(rng, small))])
+        rho = mix.matrix
+        x, p = small.points(), small.conjugate_grid().points()
+        fourier = np.exp(-1j * np.outer(p, x)) * small.dx / np.sqrt(2.0 * np.pi)
+        dens_p = np.real(np.einsum("pa,ab,pb->p", fourier, rho, fourier.conj()))
+        assert np.max(np.abs(momentum_density(mix)[1] - dens_p)) < 1e-12
+        k = small.wavenumbers()
+        k[small.n_points // 2] = 0.0
+        p_rho = -1j * np.fft.ifft(1j * k[:, None] * np.fft.fft(rho, axis=0), axis=0)
+        comp = classical_estimate(mix, "position", "P")
+        core = comp.weights > 1e-8 * comp.weights.max()
+        numerator = comp.values * mix.position_density()
+        assert np.max(np.abs(numerator[core] - np.real(np.diag(p_rho))[core])) < 1e-10
+
+        for mixed, members, sign, observable in (
+                (PeriodicMixedState, [random_periodic_state(rng) for _ in range(2)], 1, "J"),
+                (FockMixedState, [random_fock_state(rng, 20, mean=m) for m in (2.0, 5.0)],
+                 -1, "N")):
+            circ = mixed.from_ensemble([(0.4, members[0]), (0.6, members[1])])
+            labels = members[0].j_values if observable == "J" else members[0].n_values
+            m = circ.default_phase_points()
+            kernel = np.exp(sign * 1j * np.outer(circ.phase_grid(m), labels)) / np.sqrt(2 * np.pi)
+            rho = circ.matrix
+            dens = np.real(np.einsum("mj,jk,mk->m", kernel, rho, kernel.conj()))
+            num = np.real(np.einsum("mj,jk,mk->m", kernel, labels[:, None] * rho, kernel.conj()))
+            assert np.max(np.abs(circ.phase_density(m) - dens)) < 1e-12
+            comp = classical_estimate(circ, "phase", observable)
+            assert np.max(np.abs(comp.values * dens - num)[comp.mask]) < 1e-10
+
 
 class TestJsonSchema:
     def test_grid_round_trip(self, grid):
@@ -239,3 +304,39 @@ class TestJsonSchema:
             state_from_dict({"family": "nope"})
         with pytest.raises(ParseError):
             state_from_dict({"family": "grid", "grid": {"n_points": 16}})
+
+
+def _random_vector(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+def _random_state(kind, rng):
+    """One state of each serializable family, pure and mixed."""
+    pure = {
+        "grid": lambda: normalize(GridPureState(GridSpec(16, -4.0, 4.0), _random_vector(rng, 16))),
+        "periodic": lambda: normalize(PeriodicState(-3, 4, _random_vector(rng, 8))),
+        "fock": lambda: normalize(FockState(7, _random_vector(rng, 8))),
+    }
+    if kind == "finite":
+        return random_finite_state(rng, 4, pure=False)
+    if kind in pure:
+        return pure[kind]()
+    maker = {"grid-mixed": GridMixedState, "periodic-mixed": PeriodicMixedState,
+             "fock-mixed": FockMixedState}[kind]
+    member = pure[kind.split("-")[0]]
+    weight = rng.uniform(0.1, 0.9)
+    return maker.from_ensemble([(weight, member()), (1.0 - weight, member())])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=hst.sampled_from(["grid", "periodic", "fock", "finite", "grid-mixed",
+                              "periodic-mixed", "fock-mixed"]),
+       seed=hst.integers(0, 2 ** 32 - 1))
+def test_json_round_trip_property(kind, seed):
+    state = _random_state(kind, np.random.default_rng(seed))
+    back = state_from_dict(state_to_dict(state))
+    assert type(back) is type(state)
+    if isinstance(state, (MixedState, FiniteState)):
+        assert np.max(np.abs(back.matrix - state.matrix)) < 1e-12
+    else:
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
