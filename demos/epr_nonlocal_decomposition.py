@@ -17,8 +17,8 @@ from exact_uncertainty import (
     collapse_position,
     correlations,
     epr_grids,
-    epr_moments,
     nonclassical_components_2d,
+    pair_moments,
 )
 from exact_uncertainty.twoparticle import momentum_collapse_prediction
 
@@ -28,13 +28,13 @@ gx, gy = epr_grids(params)
 print(f"grid: {gx.n_points} x {gy.n_points} points, dx = {gx.dx:.4g}")
 state = build_epr(params, gx, gy)
 
-m = epr_moments(state)
+parts = nonclassical_components_2d(state)
+m = pair_moments(parts)
 print(f"<X1 - X2> = {m['mean_relative_position']:.6f}   Var = "
       f"{m['var_relative_position']:.6f}  (sigma^2 = {params.sigma ** 2})")
 print(f"<P1 + P2> = {m['mean_total_momentum']:.6f}   Var = "
       f"{m['var_total_momentum']:.6f}  (1/tau^2 = {params.tau ** -2})")
 
-parts = nonclassical_components_2d(state)
 core = state.position_density() > 1e-6 * state.position_density().max()
 print(f"\nclassical momentum of each particle: constant "
       f"{parts.classical_field_1[core].mean():.6f} = p0/2")

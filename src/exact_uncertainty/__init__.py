@@ -88,6 +88,7 @@ from .twoparticle import (
     epr_grids,
     epr_moments,
     nonclassical_components_2d,
+    pair_moments,
 )
 from .wigner import (
     WignerGrid,

@@ -68,9 +68,9 @@ from .twoparticle import (
     collapse_position,
     correlations,
     epr_grids,
-    epr_moments,
     momentum_collapse_prediction,
     nonclassical_components_2d,
+    pair_moments,
 )
 from .wigner import wigner_to_csv_rows, wigner_transform, wigner_average_momentum
 
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run relation verifiers", parents=[common])
     p_verify.add_argument("state", nargs="?", help="state JSON file")
     p_verify.add_argument("--relation", choices=["xp", "conjugate", "phase-angular",
-                                                 "phase-number"], default=None)
+                                                 "phase-number", "ivanovic"], default=None)
     p_verify.add_argument("--suite", choices=sorted(SUITE_FAMILIES), default=None)
     p_verify.add_argument("--n", type=int, default=10, help="states per family in a suite")
 
@@ -242,7 +242,7 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
 def _verify_one(state, relation: str | None, config: RunConfig) -> RelationReport:
     if relation is None:
         relation = {GridPureState: "xp", PeriodicState: "phase-angular",
-                    FockState: "phase-number"}.get(family(state))
+                    FockState: "phase-number", FiniteState: "ivanovic"}.get(family(state))
         if relation is None:
             raise ParseError("cannot infer a relation for this state family")
     if relation == "xp":
@@ -253,7 +253,9 @@ def _verify_one(state, relation: str | None, config: RunConfig) -> RelationRepor
         return verify_phase_angular(state, config.tol_grid)
     if relation == "phase-number":
         return verify_phase_number(state, config.tol_fock)
-    raise ParseError(f"unknown relation {relation!r}")
+    if relation == "ivanovic" and isinstance(state, FiniteState):
+        return verify_ivanovic(state, mub_construct(state.dimension))
+    raise ParseError(f"relation {relation!r} does not apply to this state")
 
 
 def _run_suite(config: RunConfig, suite: str, n: int) -> list[RelationReport]:
@@ -380,7 +382,6 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
     params = EprParams(args.a, args.sigma, args.tau, args.p0)
     gx, gy = epr_grids(params, n_points=args.epr_grid_n)
     state = build_epr(params, gx, gy, constants)
-    moments = epr_moments(state)
     parts = nonclassical_components_2d(state)
     corr = correlations(parts)
     _, comp_x = collapse_position(state, args.collapse_x)
@@ -390,7 +391,7 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
     doc = {
         "params": asdict(params),
         "grid": {"n_points": gx.n_points, "dx": gx.dx, "span": gx.length},
-        "moments": moments,
+        "moments": pair_moments(parts),
         "classical_momentum_fields": {
             "particle_1_range": [float(parts.classical_field_1[parts.retained].min()),
                                  float(parts.classical_field_1[parts.retained].max())],

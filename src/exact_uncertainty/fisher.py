@@ -26,9 +26,9 @@ from .errors import SingularInformation, UnstableStep, VanishingDensity
 from .grids import (
     GridSpec,
     local_derivative,
+    real_derivative_axis,
     row_blocks,
     spectral_derivative,
-    spectral_derivative_axis,
 )
 from .states import MixedState, ensemble_sum
 
@@ -257,7 +257,7 @@ def fisher_covariance(density) -> np.ndarray:
     density = density.normalized()
     p = density.values
     mask = density.mask()
-    grad_x = np.real(spectral_derivative_axis(p, density.grid_x, axis=0))
+    grad_x = real_derivative_axis(p, density.grid_x, axis=0)
     sums = np.zeros(3)
     for rows in row_blocks(*p.shape):
         sums += plane_information_rows(p[rows], grad_x[rows], mask[rows], density.grid_y)
@@ -272,7 +272,7 @@ def plane_information_rows(p: np.ndarray, grad_x: np.ndarray, mask: np.ndarray,
     ``grad_x`` is the block's share of the spectral derivative along the
     rows, which needs whole columns; the derivative along y is taken here.
     """
-    grad_y = np.real(spectral_derivative_axis(p, grid_y, axis=1))[mask]
+    grad_y = real_derivative_axis(p, grid_y, axis=1)[mask]
     grad_x, p = grad_x[mask], p[mask]
     over_p = grad_x / p
     return np.array([over_p @ grad_x, over_p @ grad_y, (grad_y / p) @ grad_y])

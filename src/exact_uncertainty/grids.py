@@ -85,6 +85,20 @@ def spectral_derivative_axis(values, grid: GridSpec, axis: int, out=None) -> np.
     return np.fft.ifft(spec, axis=axis, out=spec)
 
 
+def real_derivative_axis(values, grid: GridSpec, axis: int) -> np.ndarray:
+    """Spectral first derivative of real samples along one axis, through the
+    half spectrum (``rfft``/``irfft``): float64 of the input's shape, equal
+    to the real part of ``spectral_derivative_axis`` up to rounding."""
+    values = np.asarray(values, dtype=float)
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.dx)
+    k[-1] = 0.0  # the Nyquist bin
+    shape = [1] * values.ndim
+    shape[axis] = k.size
+    spec = np.fft.rfft(values, axis=axis)
+    spec *= (1j * k).reshape(shape)
+    return np.fft.irfft(spec, n=grid.n_points, axis=axis)
+
+
 # byte budget of one complex row block in the blocked 2D reductions; a
 # 384 x 384 grid is one block, a 5120 x 5120 grid about fifty
 BLOCK_BYTES = 8 << 20

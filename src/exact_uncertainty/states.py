@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ParseError, UnsupportedObservable, ZeroNorm
-from .grids import GridSpec
+from .grids import GridSpec, row_blocks
 
 NORM_TOL = 1e-10
 EDGE_DECAY = 1e-12  # box convention: amplitude at edges relative to peak
@@ -88,10 +88,15 @@ class Grid2DPureState:
     def position_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    def peak_amplitude(self) -> float:
+        """max |psi|, read over blocks of rows (no full-size temporary)."""
+        amps = self.amplitudes
+        return max(float(np.abs(amps[rows]).max()) for rows in row_blocks(*amps.shape))
+
     def box_warning(self) -> bool:
-        a = np.abs(self.amplitudes)
-        peak = a.max()
-        edge = max(a[0, :].max(), a[-1, :].max(), a[:, 0].max(), a[:, -1].max())
+        a = self.amplitudes
+        peak = self.peak_amplitude()
+        edge = max(np.abs(a[[0, -1], :]).max(), np.abs(a[:, [0, -1]]).max())
         return bool(peak > 0 and edge > EDGE_DECAY * peak)
 
 

@@ -18,35 +18,12 @@ from .decomposition import ClassicalComponent, classical_estimate
 from .densities import MASKED_MASS_LIMIT, PlaneDensity, floor_mask
 from .errors import GridResolution, VanishingDensity
 from .fisher import inverse_information, plane_information_rows
-from .grids import GridSpec, row_blocks, spectral_derivative_axis
-from .states import Constants, Grid2DPureState, GridPureState, normalize
+from .grids import GridSpec, real_derivative_axis, row_blocks, spectral_derivative_axis
+from .states import Constants, Grid2DPureState, GridPureState, _check_scale, normalize
 
 
 def position_plane_density(state: Grid2DPureState) -> PlaneDensity:
     return PlaneDensity(state.grid_x, state.grid_y, state.position_density())
-
-
-def momentum_plane_density(state: Grid2DPureState):
-    """(p1 lattice, p2 lattice, |psi~|^2) with lattices in fft order.
-
-    The box-offset phases exp(-i k x_min) have unit modulus, so |.|^2 drops
-    them, and the dx dy / (2 pi hbar) scale is applied to the real density.
-    """
-    hbar = state.constants.hbar
-    gx, gy = state.grid_x, state.grid_y
-    dens = np.abs(np.fft.fft2(state.amplitudes))
-    dens *= dens
-    dens *= (gx.dx * gy.dx / (2.0 * np.pi * hbar)) ** 2
-    return hbar * gx.wavenumbers(), hbar * gy.wavenumbers(), dens
-
-
-def momentum_covariance(state: Grid2DPureState) -> np.ndarray:
-    k1, k2, dens = momentum_plane_density(state)
-    hbar = state.constants.hbar
-    dp = (state.grid_x.momentum_spacing(hbar) * state.grid_y.momentum_spacing(hbar))
-    moments = sum(_moment_sums(dens[rows], k1[rows, None], k2)
-                  for rows in row_blocks(*dens.shape))
-    return _cov(moments * dp)
 
 
 def _moment_sums(weights: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -77,6 +54,8 @@ class TwoParticleDecomposition:
     mixed_partials_residual: float
     mean_nonclassical: np.ndarray
     information_position: np.ndarray  # Fisher information entries (11, 12, 22)
+    mean_position: np.ndarray
+    mean_momentum: np.ndarray
 
     @property
     def cov_fisher(self) -> np.ndarray:
@@ -91,27 +70,46 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     subtraction), so the reported additivity residual is a genuine check of
     Cov(P) = Cov(P_cl) + Cov(P_nc).
 
-    The derivatives along x1 transform whole columns, so they are computed
-    whole, in one complex buffer.  The rest is computed over blocks of rows
-    (``row_blocks``), with every weighted sum accumulated in that one loop:
-    no full-size chi, flux or weight array exists.
+    psi is transformed along x1 (whole columns) once, into one complex
+    buffer ``spec``.  Blocks of its rows transformed along x2 give the
+    k-space density |psi~|^2, whose moments give Cov(P) and <P>; then
+    ``spec`` times i k1, transformed back in place, is d(psi)/dx1.  The
+    derivatives along x2 are taken per block of rows (``row_blocks``), where
+    every other weighted sum is accumulated: no full-size chi, flux or
+    weight array exists.
+
+    Two quantities keep paths of their own on purpose.  Cov(P) comes from
+    |psi~|^2, not from <d psi|d psi>: with the same d(psi) the additivity
+    residual would be an algebraic identity.  The Fisher information comes
+    from the spectral derivatives of the real density p (``rfft``/``irfft``),
+    not from 2 Re(conj(psi) d psi): that product rule would make
+    (hbar^2/4) I equal Cov(P_nc) point by point, even on an under-resolved
+    lattice.
     """
     hbar = state.constants.hbar
     psi = state.amplitudes
     w = state.measure
     gx, gy = state.grid_x, state.grid_y
-    cov_p = momentum_covariance(state)
 
     p = state.position_density()
     mask = floor_mask(p)
     if np.sum(p[~mask]) * w > MASKED_MASS_LIMIT:
         raise VanishingDensity("2D density vanishes on > 20% of mass")
+    grad_x = real_derivative_axis(p, gx, axis=0)
 
-    # the buffer first gives the density's x1 gradient (Fisher information),
-    # then d(psi)/dx1
-    d1 = p.astype(complex)
-    grad_x = spectral_derivative_axis(d1, gx, axis=0, out=d1).real.copy()
-    spectral_derivative_axis(psi, gx, axis=0, out=d1)
+    spec = np.fft.fft(psi, axis=0)
+    kx = gx.wavenumbers()
+    k1, k2 = hbar * kx, hbar * gy.wavenumbers()
+    momentum = np.zeros(5)      # |psi~|^2-weighted sums of k1, k2, k1^2, k1 k2, k2^2
+    for rows in row_blocks(*psi.shape):
+        dens = np.abs(np.fft.fft(spec[rows], axis=1))
+        dens *= dens
+        momentum += _moment_sums(dens, k1[rows, None], k2)
+    # unnormalized DFT: sum |psi~|^2 = psi.size sum |psi|^2, box-offset phases drop
+    momentum *= w / psi.size
+    kx[gx.n_points // 2] = 0.0
+    spec *= (1j * kx)[:, None]
+    d1 = np.fft.ifft(spec, axis=0, out=spec)  # d(psi)/dx1, as spectral_derivative_axis
 
     x1, x2 = gx.points(), gy.points()
     v1 = np.zeros_like(p)
@@ -138,9 +136,9 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
                                  np.vdot(chi1, chi1), np.vdot(chi1, chi2),
                                  np.vdot(chi2, chi2)])
         information += plane_information_rows(p_b, grad_x[rows], m_b, gy)
-    del d1, d1_b, grad_x  # the last block's view would keep the buffer alive
+    del spec, d1, d1_b, grad_x  # the last block's view would keep the buffer alive
 
-    cov_x = _cov(position * w)
+    cov_x, cov_p = _cov(position * w), _cov(momentum)
     cov_cl = _cov(classical * w)
     cov_nc = _cov(nonclassical * w)
     mean_nc = nonclassical[:2] * w
@@ -153,7 +151,8 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     total = float(np.sum(p)) * w
     information *= w / total
     return TwoParticleDecomposition(v1, v2, mask, cov_x, cov_p, cov_cl, cov_nc,
-                                    additivity, mixed, mean_nc, information)
+                                    additivity, mixed, mean_nc, information,
+                                    position[:2] * w, momentum[:2])
 
 
 def _mixed_partials_residual(v1, v2, p, state) -> float:
@@ -268,37 +267,38 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
     if max(grid_x.dx, grid_y.dx) > params.sigma / 8.0 * (1.0 + 1e-9):
         raise GridResolution(
             f"dx = {max(grid_x.dx, grid_y.dx):.4g} does not resolve sigma with >= 8 points")
-    x1 = grid_x.points()[:, None]
-    x2 = grid_y.points()[None, :]
-    rel = x1 - x2 - params.a
-    com = x1 + x2
-    psi = np.exp(-rel ** 2 / (4.0 * params.sigma ** 2)
-                 - com ** 2 / (4.0 * params.tau ** 2)
-                 + 0.5j * params.p0 * com / constants.hbar)
-    return normalize(Grid2DPureState(grid_x, grid_y, psi, constants))
+    x1, x2 = grid_x.points(), grid_y.points()
+    phase1 = np.exp(0.5j * params.p0 * x1 / constants.hbar)
+    phase2 = np.exp(0.5j * params.p0 * x2 / constants.hbar)
+    psi = np.empty((grid_x.n_points, grid_y.n_points), dtype=complex)
+    norm_sq = 0.0
+    for rows in row_blocks(*psi.shape):
+        rel = x1[rows, None] - x2 - params.a
+        com = x1[rows, None] + x2
+        block = psi[rows]
+        np.multiply(phase1[rows, None], phase2, out=block)
+        block *= np.exp(-rel ** 2 / (4.0 * params.sigma ** 2)
+                        - com ** 2 / (4.0 * params.tau ** 2))
+        norm_sq += np.vdot(block, block).real
+    norm_sq *= grid_x.dx * grid_y.dx
+    _check_scale(norm_sq)
+    psi /= np.sqrt(norm_sq)
+    return Grid2DPureState(grid_x, grid_y, psi, constants)
 
 
 def epr_moments(state: Grid2DPureState) -> dict:
     """Means and variances of the relative position and total momentum."""
-    k1, k2, dens = momentum_plane_density(state)
-    x1, x2 = state.grid_x.points(), state.grid_y.points()
-    sums = np.zeros(4)  # sums of p rel, p rel^2, |psi~|^2 tot, |psi~|^2 tot^2
-    for rows in row_blocks(*dens.shape):
-        rel = x1[rows, None] - x2[None, :]
-        tot = k1[rows, None] + k2[None, :]
-        p_rel = np.abs(state.amplitudes[rows]) ** 2 * rel
-        dens_tot = dens[rows] * tot
-        sums += [p_rel.sum(), (p_rel * rel).sum(), dens_tot.sum(), (dens_tot * tot).sum()]
+    return pair_moments(nonclassical_components_2d(state))
 
-    hbar = state.constants.hbar
-    dp = state.grid_x.momentum_spacing(hbar) * state.grid_y.momentum_spacing(hbar)
-    mean_rel, sq_rel = sums[:2] * state.measure
-    mean_tot, sq_tot = sums[2:] * dp
+
+def pair_moments(parts: TwoParticleDecomposition) -> dict:
+    """Means and variances of X1 - X2 and P1 + P2 read from a decomposition."""
+    cx, cp = parts.cov_position, parts.cov_momentum
     return {
-        "mean_relative_position": float(mean_rel),
-        "var_relative_position": float(sq_rel - mean_rel ** 2),
-        "mean_total_momentum": float(mean_tot),
-        "var_total_momentum": float(sq_tot - mean_tot ** 2),
+        "mean_relative_position": float(parts.mean_position[0] - parts.mean_position[1]),
+        "var_relative_position": float(cx[0, 0] + cx[1, 1] - 2.0 * cx[0, 1]),
+        "mean_total_momentum": float(parts.mean_momentum[0] + parts.mean_momentum[1]),
+        "var_total_momentum": float(cp[0, 0] + cp[1, 1] + 2.0 * cp[0, 1]),
     }
 
 
@@ -308,8 +308,7 @@ def collapse_position(state: Grid2DPureState, x: float) -> tuple[GridPureState, 
     idx = int(np.clip(round((x - gy.x_min) / gy.dx), 0, gy.n_points - 1))
     column = state.amplitudes[:, idx]
     col_density = np.abs(column) ** 2
-    full = state.position_density()
-    if col_density.max() <= 1e-12 * full.max():
+    if col_density.max() <= 1e-12 * state.peak_amplitude() ** 2:
         raise VanishingDensity(f"no support at x2 = {x}")
     collapsed = normalize(GridPureState(state.grid_x, column, state.constants))
     return collapsed, classical_estimate(collapsed, "position", "P")
@@ -328,8 +327,9 @@ def collapse_momentum(state: Grid2DPureState, p: float) -> tuple[GridPureState, 
     mass = float(np.sum(np.abs(sliced) ** 2) * state.grid_x.dx)
 
     # compare against the particle-2 momentum marginal on the lattice
-    spec = np.fft.fft(state.amplitudes, axis=1)
-    marginal = np.sum(np.abs(spec) ** 2, axis=0)  # up to common scale
+    marginal = np.zeros(gy.n_points)  # up to common scale
+    for rows in row_blocks(*state.amplitudes.shape):
+        marginal += np.sum(np.abs(np.fft.fft(state.amplitudes[rows], axis=1)) ** 2, axis=0)
     lattice_max = float(marginal.max() * state.grid_x.dx * gy.dx ** 2 / (2.0 * np.pi * hbar))
     if mass <= 1e-12 * lattice_max:
         raise VanishingDensity(f"no support at p2 = {p}")

@@ -6,7 +6,11 @@ import pytest
 
 from exact_uncertainty import cli
 from exact_uncertainty.cli import main
-from exact_uncertainty.random_states import random_fock_state, random_periodic_state
+from exact_uncertainty.random_states import (
+    random_finite_state,
+    random_fock_state,
+    random_periodic_state,
+)
 from exact_uncertainty.states import (
     FockMixedState,
     GridMixedState,
@@ -268,3 +272,15 @@ def test_mixture_file_relation_follows_member_family(tmp_path, rng, mixture, rel
     assert code == 0
     assert report["reports"][0]["relation_id"] == relation
     assert report["reports"][0]["verdict"] in ("inequality-satisfied", "flagged-infinite")
+
+
+@pytest.mark.parametrize("d, expected_code", [(2, 0), (3, 0), (4, 3)])
+def test_finite_state_file_infers_ivanovic(tmp_path, rng, d, expected_code):
+    state_path = tmp_path / "finite.json"
+    state_path.write_text(json.dumps(state_to_dict(random_finite_state(rng, d))))
+    code, report = run(["verify", str(state_path)], tmp_path / "out.json")
+    assert code == expected_code
+    if expected_code == 0:
+        assert report["reports"][0]["relation_id"] == "ivanovic"
+    else:
+        assert report["kind"] == "NotPrime"

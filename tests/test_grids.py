@@ -5,7 +5,9 @@ from exact_uncertainty.grids import (
     GridSpec,
     fourier_interpolate,
     local_derivative,
+    real_derivative_axis,
     spectral_derivative,
+    spectral_derivative_axis,
 )
 
 
@@ -69,3 +71,17 @@ def test_fourier_interpolation_2d():
     fine = fourier_interpolate(f, 2)
     assert np.max(np.abs(fine[::2, ::2] - f)) < 1e-12
     assert np.max(np.abs(fine.imag)) < 1e-12
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_real_derivative_axis_matches_complex_kernel(axis):
+    gx, gy = GridSpec(64, -8.0, 8.0), GridSpec(96, -10.0, 10.0)
+    x, y = gx.points()[:, None], gy.points()[None, :]
+    values = np.exp(-(x - 0.3) ** 2 / 2.0 - (y + 0.5) ** 2 / 3.0 - 0.4 * x * y) \
+        * (1.0 + 0.3 * np.cos(x + 2.0 * y))
+    grid = (gx, gy)[axis]
+    got = real_derivative_axis(values, grid, axis=axis)
+    expected = np.real(spectral_derivative_axis(values, grid, axis=axis))
+    assert got.dtype == np.float64
+    assert got.shape == values.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))

@@ -58,6 +58,29 @@ class TestBuild:
         assert abs(rel.r_pearson_position) < 1e-8
         assert abs(rel.pair.r_pearson) < 1e-8
 
+    def test_blocked_build_matches_closed_form(self):
+        import tracemalloc
+
+        from exact_uncertainty.grids import row_blocks
+
+        gx, gy = epr_grids(SMALL)
+        tracemalloc.start()
+        try:
+            state = build_epr(SMALL, gx, gy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state plus row-block temporaries, not whole-array ones
+        assert peak < 2 * state.amplitudes.nbytes
+        assert len(list(row_blocks(gx.n_points, gy.n_points))) > 2
+        x1, x2 = gx.points()[:, None], gy.points()[None, :]
+        rel, com = x1 - x2 - SMALL.a, x1 + x2
+        ref = np.exp(-rel ** 2 / (4.0 * SMALL.sigma ** 2) - com ** 2 / (4.0 * SMALL.tau ** 2)
+                     + 0.5j * SMALL.p0 * com)
+        ref /= np.sqrt(np.sum(np.abs(ref) ** 2) * gx.dx * gy.dx)
+        assert np.max(np.abs(state.amplitudes - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert state.norm_squared == pytest.approx(1.0, abs=1e-14)
+
     def test_grid_resolution_guards(self):
         tight = GridSpec(64, -4.0, 4.0)
         with pytest.raises(GridResolution):
@@ -239,6 +262,33 @@ class TestOneDecompositionPerReport:
                               ("fisher_position", corr.pair.r_fisher),
                               ("relation_residual", corr.residual)):
             assert got[key] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_epr_demo_transforms_psi_once_along_axis_0(self, monkeypatch):
+        import argparse
+
+        from exact_uncertainty import cli
+
+        n = epr_grids(SMALL)[0].n_points
+        whole_axis0, fft2_calls = [], []
+        fft, fft2 = np.fft.fft, np.fft.fft2
+
+        def counted_fft(a, *args, **kwargs):
+            axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
+            if np.shape(a) == (n, n) and axis % 2 == 0:
+                whole_axis0.append(np.asarray(a).dtype)
+            return fft(a, *args, **kwargs)
+
+        def counted_fft2(*args, **kwargs):
+            fft2_calls.append(1)
+            return fft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted_fft)
+        monkeypatch.setattr(np.fft, "fft2", counted_fft2)
+        args = argparse.Namespace(a=SMALL.a, sigma=SMALL.sigma, tau=SMALL.tau, p0=SMALL.p0,
+                                  collapse_x=0.0, collapse_p=0.5, epr_grid_n=None)
+        cli.cmd_epr_demo(cli.RunConfig(), args)
+        assert fft2_calls == []
+        assert whole_axis0 == [np.complex128]
 
     def test_blocked_reductions_match_unblocked_formulas(self, small_epr):
         from exact_uncertainty.fisher import fisher_covariance
