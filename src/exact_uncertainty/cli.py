@@ -330,11 +330,12 @@ def cmd_decompose(config: RunConfig, args) -> tuple[int, dict]:
 def cmd_wigner(config: RunConfig, args) -> tuple[int, dict]:
     state = _load_state(args.state, config.constants())
     w = wigner_transform(state)
-    x, pav, mask = wigner_average_momentum(w)
+    marginal = w.position_marginal()
+    x, pav, mask = wigner_average_momentum(w, marginal)
     comp = classical_estimate(state, "position", "P")
-    weighted = np.abs(pav - comp.values) * w.position_marginal()
+    weighted = np.abs(pav - comp.values) * marginal
     doc = {
-        "total": w.total,
+        "total": float(np.sum(marginal) * w.x_grid.dx),
         "imaginary_residue": w.imaginary_residue,
         "min_value": float(w.values.min()),
         "average_momentum_max_weighted_deviation": float(weighted[mask].max()),

@@ -5,7 +5,7 @@ translation Cramer-Rao bound: delta_X <= Delta_X with equality only for
 Gaussians.  In the continuum it vanishes for discontinuous densities; on a
 grid a jump is diagnosed by the broadband content it injects into the
 spectral derivative, and such densities get an explicit flag instead of a
-meaningless number (a dyadic coarsening study rides along as provenance).
+meaningless number.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ class FisherMetrics:
     fisher_information: float
     divergence_flag: str
     masked_mass: float = 0.0
-    refinement_study: tuple = ()
-
-    @property
-    def is_finite(self) -> bool:
-        return self.divergence_flag == FINITE
 
 
 def _information(p: np.ndarray, dp_dx: np.ndarray, weight: float, mask: np.ndarray,
@@ -81,25 +76,6 @@ def _information(p: np.ndarray, dp_dx: np.ndarray, weight: float, mask: np.ndarr
         integrand[~mask] = np.interp(idx[~mask], idx[mask], integrand[mask], period=period)
         return float(np.sum(integrand) * weight)
     return float(np.sum(integrand[mask]) * weight)
-
-
-def _coarsening_study(p: np.ndarray, dx: float, periodic: bool) -> list[tuple[float, float]]:
-    """delta_X recomputed from every 1st, 2nd, 4th sample (local derivatives)."""
-    study = []
-    for step in (1, 2, 4):
-        if p.size % step != 0 or p.size // step < 8:
-            break
-        q = p[::step]
-        h = dx * step
-        q = q / (np.sum(q) * h)
-        if periodic:
-            dq = periodic_central_difference(q, h)
-        else:
-            dq = local_derivative(q, h)
-        mask = floor_mask(q)
-        info = _information(q, dq, h, mask, periodic)
-        study.append((h, float(info ** -0.5) if info > 0 else np.inf))
-    return study
 
 
 def periodic_central_difference(values: np.ndarray, h: float) -> np.ndarray:
@@ -128,7 +104,7 @@ def fisher_length(density: LineDensity) -> FisherMetrics:
     decayed_edges = max(p[0], p[-1]) <= 1e-8 * p.max()
     if not decayed_edges:
         info_fd = max(_information(p, local_derivative(p, dx), dx, mask), 1e-300)
-        return FisherMetrics(info_fd ** -0.5, info_fd, FINITE, masked_mass, ())
+        return FisherMetrics(info_fd ** -0.5, info_fd, FINITE, masked_mass)
 
     dp = np.real(spectral_derivative(p, density.grid))
     return _spectral_metrics(p, dp, density.grid, mask, masked_mass)
@@ -142,14 +118,12 @@ def _spectral_metrics(p: np.ndarray, dp: np.ndarray, grid: GridSpec, mask: np.nd
     # near-flat densities carry ~no information; the derivative samples are
     # rounding noise and no diagnosis beyond "finite but huge" is possible
     if info * grid.length ** 2 < UNIFORMITY_FLOOR:
-        return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, ())
+        return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
 
     info_fd = max(_information(p, local_derivative(p, grid.dx), grid.dx, mask), 1e-300)
-    study = _coarsening_study(p, grid.dx, periodic=False)
     if _jump_detected(info, info_fd):
-        return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY,
-                             masked_mass, tuple(study))
-    return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, tuple(study))
+        return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY, masked_mass)
+    return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
 
 
 def fisher_length_periodic(density: CircleDensity) -> FisherMetrics:
@@ -170,19 +144,17 @@ def fisher_length_periodic(density: CircleDensity) -> FisherMetrics:
     dp = np.real(np.fft.ifft(1j * k * np.fft.fft(p)))
     info = _information(p, dp, dphi, mask, periodic=True)
     if info * (2.0 * np.pi) ** 2 < UNIFORMITY_FLOOR:
-        return FisherMetrics(np.inf, info, INFINITE_BY_UNIFORMITY, masked_mass, ())
+        return FisherMetrics(np.inf, info, INFINITE_BY_UNIFORMITY, masked_mass)
 
     info_fd = max(_information(p, periodic_central_difference(p, dphi), dphi, mask,
                                periodic=True), 1e-300)
-    study = _coarsening_study(p, dphi, periodic=True)
     # circle densities are trigonometric polynomials sampled at >= 8 points
     # per harmonic, so an O(max) swing between adjacent cells can only be a
     # jump, never under-resolved smooth structure
     cell_swing = float(np.max(np.abs(np.diff(p, append=p[0])))) / p.max()
     if _jump_detected(info, info_fd) or cell_swing > 0.25:
-        return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY,
-                             masked_mass, tuple(study))
-    return FisherMetrics(info ** -0.5, info, FINITE, masked_mass, tuple(study))
+        return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY, masked_mass)
+    return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
 
 
 def fisher_length_mixed(state: MixedState) -> FisherMetrics:

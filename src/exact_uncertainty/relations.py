@@ -33,6 +33,7 @@ from .states import (
     GridPureState,
     MixedState,
     PeriodicState,
+    embed_in_larger_box,
     ensemble_sum,
     family,
     moment,
@@ -120,12 +121,30 @@ def verify_position_momentum(state, tol: float = TOL_GRID) -> RelationReport:
 
 
 def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
-    """Delta_X_nc * delta_P >= hbar/2, saturated by pure states."""
+    """Delta_X_nc * delta_P >= hbar/2, saturated by pure states.
+
+    The momentum lattice must resolve the momentum density's structure.  So
+    a `violated` verdict on a box-contained state is checked once more in a
+    2x box (a 2x finer momentum lattice, exact for a decayed state), and the
+    refined report is returned with both lattices' n_points, Fisher lengths
+    and residuals in notes["resolution_study"].
+    """
     if family(state) is not GridPureState:
         raise TypeError("verify_conjugate needs a grid state")
-    if isinstance(state, MixedState):
-        return _verify_mixed_grid(state, conjugate=True, tol=tol)
-    return _verify_pure_grid(state, conjugate=True, tol=tol)
+    mixed = isinstance(state, MixedState)
+    verify = _verify_mixed_grid if mixed else _verify_pure_grid
+    report = verify(state, conjugate=True, tol=tol)
+    if report.verdict != VIOLATED or "BoxTooSmall" in report.notes["warnings"]:
+        return report
+    wider = (MixedState(state.weights, tuple(embed_in_larger_box(m, 2) for m in state.members))
+             if mixed else embed_in_larger_box(state, 2))
+    refined = verify(wider, conjugate=True, tol=tol)
+    refined.notes["resolution_study"] = {
+        "n_points": [report.notes["n_points"], refined.notes["n_points"]],
+        "fisher_length": [report.notes["fisher_length"], refined.notes["fisher_length"]],
+        "residual": [report.residual, refined.residual],
+    }
+    return refined
 
 
 def _verify_pure_grid(state: GridPureState, conjugate: bool, tol: float) -> RelationReport:

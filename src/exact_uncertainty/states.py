@@ -150,11 +150,6 @@ class PeriodicState:
     def phase_density(self, m: int | None = None) -> np.ndarray:
         return np.abs(self.phase_samples(m)) ** 2
 
-    def edge_warning(self) -> bool:
-        a = np.abs(self.amplitudes)
-        peak = a.max()
-        return bool(peak > 0 and max(a[0], a[-1]) > EDGE_DECAY * peak)
-
 
 @dataclass(frozen=True)
 class FockState:
@@ -283,7 +278,9 @@ def ensemble_sum(state, quantity):
         return quantity(state)
     total = 0.0
     for weight, member in zip(state.weights, state.members):
-        total = total + weight * quantity(member)
+        # the member's fresh array first: numpy then reuses it for the product
+        # and the sum, so an array-valued sum holds two arrays, not three
+        total = total + quantity(member) * weight
     return total
 
 

@@ -1,9 +1,16 @@
 """Wigner transform on the grid and the average momentum it induces.
 
 The transform W(x,p) = (2*pi*hbar)^-1 int dxi e^{-i p xi / hbar}
-rho(x - xi/2, x + xi/2) is evaluated as a DFT over anti-diagonal slices of
+rho(x + xi/2, x - xi/2) is evaluated as a DFT over anti-diagonal slices of
 rho.  Half-lattice offsets are sampled by trigonometric interpolation of
 the state, which keeps the first moment of W in p free of O(dx) bias.
+
+Slices are Hermitian in xi, s(x, -xi) = conj s(x, xi), for pure states and
+mixtures, so only the n/2 + 1 offsets xi >= 0 are built, as strided windows
+of the interpolated members, and one real-output transform gives the real,
+p-sorted W.  The offset xi = -L/2 has no partner on the lattice and is W's
+only imaginary part in exact arithmetic: ``imaginary_residue`` is
+(dx / 2 pi hbar) max |Im s(x, L/2)|.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .densities import masked_ratio
 from .grids import GridSpec, fourier_interpolate
@@ -43,56 +51,59 @@ class WignerGrid:
 
 
 def wigner_transform(state) -> WignerGrid:
-    """Wigner function of a grid pure state or mixture (one FFT either way)."""
+    """Wigner function of a grid pure state or mixture (one transform either way)."""
     if family(state) is not GridPureState:
         raise TypeError("wigner_transform needs a grid state")
 
     grid = state.grid
     hbar = state.constants.hbar
     n = grid.n_points
-    i = np.arange(n)[:, None]
-    k = np.arange(n)[None, :]
-    offset = k - n // 2  # xi_k / dx
-    a = np.mod(2 * i + offset, 2 * n)
-    b = np.mod(2 * i - offset, 2 * n)
-    # rho(x + xi/2, x - xi/2): the orientation for which the x-integral
-    # reproduces the momentum density (rather than its mirror image), summed
-    # over the members of a mixture
+    half = n // 2
+
+    def windows(fine):  # row k holds fine[k - n/2 .. k], wrapped
+        return sliding_window_view(np.concatenate([fine[-half:], fine, fine[:half]]), half + 1)
 
     def member_slices(member):
+        # (-1)^o conj s(x_i, o dx) = (-1)^(2i+o) conj psi(x_i + o dx/2) psi(x_i - o dx/2)
+        # for o = 0..n/2; the sign sorts W in p (the p lattice starts at -n/2 dp)
         fine = fourier_interpolate(member.amplitudes, 2)
-        return fine[a] * np.conj(fine[b])
+        ahead = np.conj(fine)
+        ahead[1::2] *= -1.0
+        return np.multiply(windows(ahead)[half:half + 2 * n:2], windows(fine)[0:2 * n:2, ::-1])
 
     slices = ensemble_sum(state, member_slices)
 
-    spec = np.fft.fft(slices, axis=1)
-    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # e^{+i pi j} for the xi offset
-    w = spec * signs[None, :] * (grid.dx / (2.0 * np.pi * hbar))
-    residue = float(np.max(np.abs(w.imag)))
-    w = np.fft.fftshift(np.real(w), axes=1)
+    scale = grid.dx / (2.0 * np.pi * hbar)
+    residue = scale * float(np.max(np.abs(slices[:, half].imag)))
+    # hfft(s) is irfft(conj s) without the 1/n; conj s is at hand, so no copy
+    w = np.fft.irfft(slices, n, axis=1, norm="forward")
+    w *= scale
 
     pgrid = grid.conjugate_grid(hbar)
     return WignerGrid(grid, pgrid, w, residue, state.box_warning())
 
 
-def wigner_average_momentum(w: WignerGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def wigner_average_momentum(w: WignerGrid, marginal: np.ndarray | None = None
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x values, P_av(x), retained mask): first moment of W over p per row.
 
     Rows whose marginal is below threshold (nodes of the density) are
     masked, mirroring the density masking of the decomposition module.
+    ``marginal`` is ``w.position_marginal()`` when the caller already holds it.
     """
-    p = w.p_grid.points()
-    first = np.sum(w.values * p[None, :], axis=1) * w.p_grid.dx
-    values, mask, _ = masked_ratio(first, w.position_marginal(), w.x_grid.dx,
-                                   "position marginal")
+    if marginal is None:
+        marginal = w.position_marginal()
+    # a matrix-vector product in einsum's own loop: on a shared 2-core host a
+    # two-thread BLAS gemv took 0.2 to 8 ms at n = 1024, einsum a steady 0.5 ms
+    first = np.einsum("ij,j->i", w.values, w.p_grid.points()) * w.p_grid.dx
+    values, mask, _ = masked_ratio(first, marginal, w.x_grid.dx, "position marginal")
     return w.x_grid.points(), values, mask
 
 
 def position_classical_in_momentum(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p values, X_cl(p), retained mask) via the Wigner first moment over x."""
     w = wigner_transform(state)
-    x = w.x_grid.points()
-    first = np.sum(w.values * x[:, None], axis=0) * w.x_grid.dx
+    first = np.einsum("i,ij->j", w.x_grid.points(), w.values) * w.x_grid.dx
     values, mask, _ = masked_ratio(first, w.momentum_marginal(), w.p_grid.dx,
                                    "momentum marginal")
     return w.p_grid.points(), values, mask

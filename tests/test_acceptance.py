@@ -53,10 +53,11 @@ from exact_uncertainty.twoparticle import (
     build_epr,
     collapse_momentum,
     correlation_relation,
+    correlations,
     epr_grids,
-    epr_moments,
     momentum_collapse_prediction,
     nonclassical_components_2d,
+    pair_moments,
 )
 from exact_uncertainty.wigner import wigner_average_momentum, wigner_transform
 
@@ -224,18 +225,20 @@ def test_criterion_07_epr_demo(epr_state):
     ok = False
     try:
         params, state = epr_state
-        m = epr_moments(state)
+        # one decomposition feeds the moments, the matrix relation and the
+        # correlations (epr_moments and correlation_relation each run one)
+        parts = nonclassical_components_2d(state)
+        m = pair_moments(parts)
         assert abs(m["mean_relative_position"] - 1.0) < 1e-4
         assert abs(m["mean_total_momentum"] - 2.0) < 1e-4
         assert abs(m["var_relative_position"] - params.sigma ** 2) < 1e-4 * params.sigma ** 2
         assert abs(m["var_total_momentum"] - params.tau ** -2) < 1e-4 * params.tau ** -2
 
-        parts = nonclassical_components_2d(state)
         product = parts.cov_position @ parts.cov_momentum
         matrix_residual = float(np.max(np.abs(product - 0.25 * np.eye(2))) / 0.25)
         assert matrix_residual < 1e-4
 
-        corr = correlation_relation(state)
+        corr = correlations(parts)
         assert abs(corr.r_pearson_position + corr.r_pearson_momentum) < 1e-3
 
         _, comp = collapse_momentum(state, 0.5)

@@ -40,6 +40,16 @@ def test_verify_suite_and_determinism(tmp_path):
     assert doc["provenance"]["seed"] == 7
 
 
+def test_readme_example_passes(tmp_path):
+    # report 94 (conjugate, state 44) is under-resolved on the 1024-point
+    # momentum lattice (residual 1.0e-6) and passes once it is refined
+    code, doc = run(["verify", "--suite", "gaussian-random", "--n", "50", "--seed", "7"],
+                    tmp_path / "readme.json")
+    assert code == 0
+    assert doc["n_reports"] == 100 and doc["all_passed"] is True
+    assert "resolution_study" in doc["reports"][94]["notes"]
+
+
 def test_verify_full_suite(tmp_path):
     code, doc = run(["verify", "--suite", "full", "--n", "2", "--seed", "3"],
                     tmp_path / "f.json")

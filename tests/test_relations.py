@@ -16,6 +16,7 @@ from exact_uncertainty.relations import (
     EQUALITY,
     FLAGGED,
     INEQUALITY,
+    TOL_GRID,
     verify_conjugate,
     verify_general,
     verify_ivanovic,
@@ -25,6 +26,7 @@ from exact_uncertainty.relations import (
     verify_position_momentum,
 )
 from exact_uncertainty.states import (
+    Constants,
     FiniteState,
     FockMixedState,
     FockState,
@@ -45,6 +47,32 @@ def truncated_gaussian_state(n):
     x = g.points()
     psi = np.where(x >= 0, np.exp(-x ** 2 / 2), 0.0).astype(complex)
     return normalize(GridPureState(g, psi))
+
+
+# (sigma, center, k, beta, |weight|, weight phase in turns) of the two lumps
+# of a seeded `random_smooth_grid_state(..., center_spread=1.2)` draw whose
+# momentum density the 1024-point conjugate lattice under-resolves: its
+# conjugate residual there is 4.1e-6, over the 1e-6 tolerance
+UNDER_RESOLVED_LUMPS = (
+    (1.4673389671352295, -0.9010953482767918, 2.6826312637760203,
+     0.47641498919011005, 0.44722533242057017, 0.39390900945815277),
+    (1.5356551175106272, 0.828635720148297, -0.35924233199751043,
+     -0.3726052865216637, 0.36868454550581153, 0.7033647252260139),
+)
+
+
+def under_resolved_state(hbar=1.0):
+    """The lumps above, as the generator builds them at hbar = 1; the phases
+    stay in units of hbar, so the lattice resolves the state equally at any
+    hbar."""
+    grid = GridSpec(1024, -20.0, 20.0)
+    x = grid.points()
+    psi = np.zeros(grid.n_points, dtype=complex)
+    for sigma, center, k, beta, size, turn in UNDER_RESOLVED_LUMPS:
+        weight = size * np.exp(2j * np.pi * turn)
+        psi += weight * np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)
+                               + 1j * (k * x + beta * (x - center) ** 2))
+    return normalize(GridPureState(grid, psi, Constants(hbar=hbar)))
 
 
 class TestPositionMomentum:
@@ -160,6 +188,36 @@ class TestConjugate:
         report = verify_conjugate(st)
         assert report.verdict == FLAGGED
         assert report.notes["flag"] == "zero-by-discontinuity"
+
+
+class TestConjugateRefinement:
+    @pytest.mark.parametrize("hbar", [1.0, 2.5])
+    def test_under_resolved_violation_refined(self, hbar):
+        report = verify_conjugate(under_resolved_state(hbar))
+        study = report.notes["resolution_study"]
+        assert study["n_points"] == [1024, 2048] == [1024, report.notes["n_points"]]
+        assert study["residual"][0] > TOL_GRID
+        assert study["residual"][1] == report.residual < 1e-9
+        assert study["fisher_length"][1] == report.notes["fisher_length"]
+        assert report.verdict == EQUALITY
+        assert report.left == pytest.approx(0.5 * hbar, rel=1e-9)
+
+    def test_under_resolved_mixture_refined(self):
+        # two phases of one state: rho is pure, so the bound saturates
+        state = under_resolved_state()
+        turned = GridPureState(state.grid, state.amplitudes * np.exp(0.3j), state.constants)
+        report = verify_conjugate(GridMixedState.from_ensemble([(0.5, state), (0.5, turned)]))
+        study = report.notes["resolution_study"]
+        assert study["n_points"] == [1024, 2048]
+        assert study["residual"][0] > TOL_GRID
+        assert report.relation_id == "conjugate-mixed"
+        assert report.verdict == INEQUALITY
+
+    def test_resolved_reports_are_not_refined(self, rng, grid):
+        for _ in range(5):
+            report = verify_conjugate(random_smooth_grid_state(rng, grid, center_spread=1.2))
+            assert report.verdict == EQUALITY
+            assert "resolution_study" not in report.notes
 
 
 class TestPhaseAngular:

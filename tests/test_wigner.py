@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from exact_uncertainty.decomposition import classical_estimate
-from exact_uncertainty.grids import GridSpec
+from exact_uncertainty.grids import GridSpec, fourier_interpolate
 from exact_uncertainty.random_states import random_smooth_grid_state
 from exact_uncertainty.states import (
+    Constants,
     GridMixedState,
     GridPureState,
+    MixedState,
     gaussian_state,
     normalize,
     to_momentum,
@@ -75,6 +79,62 @@ class TestTransform:
         w_mix = wigner_transform(mix)
         w_sum = 0.3 * wigner_transform(a).values + 0.7 * wigner_transform(b).values
         assert np.max(np.abs(w_mix.values - w_sum)) < 1e-10
+
+
+def full_slice_reference(state):
+    """W and its largest imaginary part from all n slice offsets
+    xi_k = (k - n/2) dx: index matrices into the interpolated members, one
+    complex FFT over xi, the e^{i pi j} offset signs and an fftshift over p."""
+    grid, hbar, n = state.grid, state.constants.hbar, state.grid.n_points
+    i = np.arange(n)[:, None]
+    offset = np.arange(n)[None, :] - n // 2
+    a, b = np.mod(2 * i + offset, 2 * n), np.mod(2 * i - offset, 2 * n)
+    ensemble = (zip(state.weights, state.members) if isinstance(state, MixedState)
+                else [(1.0, state)])
+    slices = 0.0
+    for weight, member in ensemble:
+        fine = fourier_interpolate(member.amplitudes, 2)
+        slices = slices + weight * fine[a] * np.conj(fine[b])
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    w = np.fft.fft(slices, axis=1) * signs * (grid.dx / (2.0 * np.pi * hbar))
+    return np.fft.fftshift(w.real, axes=1), float(np.max(np.abs(w.imag)))
+
+
+class TestHalfSlices:
+    grid = GridSpec(256, -12.0, 12.0)
+
+    def states(self):
+        rng = np.random.default_rng(256)
+        pure = random_smooth_grid_state(rng, self.grid)
+        raw = gaussian_state(self.grid, 1.0, center=-3.0).amplitudes \
+            + gaussian_state(self.grid, 1.0, center=3.0).amplitudes
+        cat = normalize(GridPureState(self.grid, raw))
+        rank2 = GridMixedState.from_ensemble(
+            [(0.35, random_smooth_grid_state(rng, self.grid)), (0.65, pure)])
+        scaled = random_smooth_grid_state(rng, self.grid, Constants(hbar=0.7))
+        return {"pure": pure, "cat": cat, "rank-2": rank2, "hbar-0.7": scaled}
+
+    @pytest.mark.parametrize("name", ["pure", "cat", "rank-2", "hbar-0.7"])
+    def test_matches_full_slice_formula(self, name):
+        state = self.states()[name]
+        w = wigner_transform(state)
+        values, residue = full_slice_reference(state)
+        assert w.values.shape == values.shape
+        assert np.max(np.abs(w.values - values)) <= 1e-14 * np.max(np.abs(values))
+        assert abs(w.imaginary_residue - residue) <= 1e-15
+
+    def test_rank2_peak_memory(self):
+        grid = GridSpec(1024, -20.0, 20.0)
+        rng = np.random.default_rng(1024)
+        mix = GridMixedState.from_ensemble([(0.4, random_smooth_grid_state(rng, grid)),
+                                            (0.6, random_smooth_grid_state(rng, grid))])
+        tracemalloc.start()
+        try:
+            w = wigner_transform(mix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * w.values.nbytes
 
 
 class TestAverageMomentum:
