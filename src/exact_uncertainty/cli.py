@@ -386,7 +386,7 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
     parts = nonclassical_components_2d(state)
     corr = correlations(parts)
     _, comp_x = collapse_position(state, args.collapse_x)
-    _, comp_p = collapse_momentum(state, args.collapse_p)
+    _, comp_p = collapse_momentum(state, args.collapse_p, parts.momentum_marginal)
     target = (0.5 * constants.hbar) ** 2
     heis = parts.cov_position @ parts.cov_momentum
     doc = {
@@ -394,10 +394,10 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
         "grid": {"n_points": gx.n_points, "dx": gx.dx, "span": gx.length},
         "moments": pair_moments(parts),
         "classical_momentum_fields": {
-            "particle_1_range": [float(parts.classical_field_1[parts.retained].min()),
-                                 float(parts.classical_field_1[parts.retained].max())],
-            "particle_2_range": [float(parts.classical_field_2[parts.retained].min()),
-                                 float(parts.classical_field_2[parts.retained].max())],
+            "particle_1_range": [float(parts.classical_values_1.min()),
+                                 float(parts.classical_values_1.max())],
+            "particle_2_range": [float(parts.classical_values_2.min()),
+                                 float(parts.classical_values_2.max())],
             "expected_constant": args.p0 / 2.0,
         },
         "covariances": {

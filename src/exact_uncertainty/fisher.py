@@ -27,6 +27,7 @@ from .grids import (
     GridSpec,
     local_derivative,
     real_derivative_axis,
+    real_derivative_columns,
     row_blocks,
     spectral_derivative,
 )
@@ -229,7 +230,7 @@ def fisher_covariance(density) -> np.ndarray:
     density = density.normalized()
     p = density.values
     mask = density.mask()
-    grad_x = real_derivative_axis(p, density.grid_x, axis=0)
+    grad_x = real_derivative_columns(lambda cols: p[:, cols], p.shape, density.grid_x)
     sums = np.zeros(3)
     for rows in row_blocks(*p.shape):
         sums += plane_information_rows(p[rows], grad_x[rows], mask[rows], density.grid_y)
@@ -242,7 +243,8 @@ def plane_information_rows(p: np.ndarray, grad_x: np.ndarray, mask: np.ndarray,
     retained points of a block of whole rows of a plane density.
 
     ``grad_x`` is the block's share of the spectral derivative along the
-    rows, which needs whole columns; the derivative along y is taken here.
+    rows, which needs whole columns (``real_derivative_columns``); the
+    derivative along y is taken here.
     """
     grad_y = real_derivative_axis(p, grid_y, axis=1)[mask]
     grad_x, p = grad_x[mask], p[mask]

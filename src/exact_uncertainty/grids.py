@@ -99,6 +99,21 @@ def real_derivative_axis(values, grid: GridSpec, axis: int) -> np.ndarray:
     return np.fft.irfft(spec, n=grid.n_points, axis=axis)
 
 
+def real_derivative_columns(columns, shape: tuple[int, int], grid: GridSpec) -> np.ndarray:
+    """``real_derivative_axis(values, grid, axis=0)`` of a real matrix of
+    ``shape`` whose columns ``columns(cols)`` returns for a slice ``cols``.
+
+    The columns are fetched and transformed one block at a time, so the
+    float64 result is the only full-size array; each column's transform is
+    the whole-matrix one, bit for bit.
+    """
+    n_rows, n_cols = shape
+    out = np.empty(shape)
+    for cols in row_blocks(n_cols, n_rows):  # whole columns instead of whole rows
+        out[:, cols] = real_derivative_axis(columns(cols), grid, axis=0)
+    return out
+
+
 # byte budget of one complex row block in the blocked 2D reductions; a
 # 384 x 384 grid is one block, a 5120 x 5120 grid about fifty
 BLOCK_BYTES = 8 << 20

@@ -18,7 +18,7 @@ from .decomposition import ClassicalComponent, classical_estimate
 from .densities import MASKED_MASS_LIMIT, PlaneDensity, floor_mask
 from .errors import GridResolution, VanishingDensity
 from .fisher import inverse_information, plane_information_rows
-from .grids import GridSpec, real_derivative_axis, row_blocks, spectral_derivative_axis
+from .grids import GridSpec, real_derivative_columns, row_blocks, spectral_derivative_axis
 from .states import Constants, Grid2DPureState, GridPureState, _check_scale, normalize
 
 
@@ -41,10 +41,17 @@ def _cov(moments) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoParticleDecomposition:
-    """Classical momentum fields and the covariance bookkeeping of a 2D state."""
+    """Classical momentum components and the covariance bookkeeping of a 2D state.
 
-    classical_field_1: np.ndarray   # P_cl^(1)(x1, x2) on the retained region
-    classical_field_2: np.ndarray
+    The classical components P_cl^(k) = hbar Im(conj(psi) d_k psi) / |psi|^2
+    are kept only where the density is retained: ``classical_values_k``
+    lists them in the row-major order of the ``retained`` mask (about 2% of
+    the 5120^2 EPR grid).  ``classical_field_k`` scatters them into a
+    full-size field, zero elsewhere, on each read.
+    """
+
+    classical_values_1: np.ndarray  # P_cl^(1) at the retained points
+    classical_values_2: np.ndarray
     retained: np.ndarray            # density mask
     cov_position: np.ndarray
     cov_momentum: np.ndarray
@@ -56,11 +63,26 @@ class TwoParticleDecomposition:
     information_position: np.ndarray  # Fisher information entries (11, 12, 22)
     mean_position: np.ndarray
     mean_momentum: np.ndarray
+    momentum_marginal: np.ndarray   # particle-2 momentum density at hbar k2, fft order
 
     @property
     def cov_fisher(self) -> np.ndarray:
         """Fisher covariance of the position density; raises SingularInformation."""
         return inverse_information(self.information_position)
+
+    @property
+    def classical_field_1(self) -> np.ndarray:
+        """P_cl^(1)(x1, x2) on the retained region, 0 elsewhere."""
+        return self._field(self.classical_values_1)
+
+    @property
+    def classical_field_2(self) -> np.ndarray:
+        return self._field(self.classical_values_2)
+
+    def _field(self, values: np.ndarray) -> np.ndarray:
+        field = np.zeros(self.retained.shape)
+        field[self.retained] = values
+        return field
 
 
 def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecomposition:
@@ -70,13 +92,24 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     subtraction), so the reported additivity residual is a genuine check of
     Cov(P) = Cov(P_cl) + Cov(P_nc).
 
-    psi is transformed along x1 (whole columns) once, into one complex
-    buffer ``spec``.  Blocks of its rows transformed along x2 give the
-    k-space density |psi~|^2, whose moments give Cov(P) and <P>; then
-    ``spec`` times i k1, transformed back in place, is d(psi)/dx1.  The
-    derivatives along x2 are taken per block of rows (``row_blocks``), where
-    every other weighted sum is accumulated: no full-size chi, flux or
-    weight array exists.
+    Only psi, one complex buffer ``spec`` and the ``retained`` mask are ever
+    full-size; every other field lives in blocks of rows (``row_blocks``) or
+    of columns and feeds sums, a maximum or the retained classical values.
+    The passes over psi:
+
+    1. max |psi|^2, read as ``peak_amplitude()**2``;
+    2. dp/dx1, transformed along x1 from blocks of whole columns of
+       p = |psi|^2 (``real_derivative_columns``);
+    3. per block of rows: the mask, the masked and total mass, the position
+       moments and the Fisher information sums; dp/dx1 is then freed,
+       before ``spec`` exists;
+    4. psi transformed along x1 into ``spec``; its row blocks transformed
+       along x2 give the k-space density |psi~|^2, whose moments give Cov(P)
+       and <P> and whose k1-sums give the particle-2 momentum marginal;
+       then ``spec`` times i k1, transformed back in place, is d(psi)/dx1;
+    5. per block of rows, with one halo row on each side: d(psi)/dx2, the
+       fluxes, the classical components, chi_k = (P_k - P_cl^(k)) psi and
+       their sums, and the mixed-partials residual.
 
     Two quantities keep paths of their own on purpose.  Cov(P) comes from
     |psi~|^2, not from <d psi|d psi>: with the same d(psi) the additivity
@@ -90,88 +123,136 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     psi = state.amplitudes
     w = state.measure
     gx, gy = state.grid_x, state.grid_y
+    n1, n2 = psi.shape
+    x1, x2 = gx.points(), gy.points()
+    peak = state.peak_amplitude() ** 2  # max |psi|^2, bit for bit
 
-    p = state.position_density()
-    mask = floor_mask(p)
-    if np.sum(p[~mask]) * w > MASKED_MASS_LIMIT:
+    grad_x = real_derivative_columns(lambda cols: np.abs(psi[:, cols]) ** 2, psi.shape, gx)
+    mask = np.empty(psi.shape, dtype=bool)
+    position = np.zeros(5)      # p-weighted sums of x1, x2, x1^2, x1 x2, x2^2
+    information = np.zeros(3)
+    total = masked = 0.0
+    for rows in row_blocks(n1, n2):
+        p_b = np.abs(psi[rows]) ** 2
+        m_b = mask[rows] = floor_mask(p_b, peak)
+        total += p_b.sum()
+        masked += p_b[~m_b].sum()
+        position += _moment_sums(p_b, x1[rows, None], x2)
+        information += plane_information_rows(p_b, grad_x[rows], m_b, gy)
+    del grad_x
+    if masked * w > MASKED_MASS_LIMIT:
         raise VanishingDensity("2D density vanishes on > 20% of mass")
-    grad_x = real_derivative_axis(p, gx, axis=0)
 
     spec = np.fft.fft(psi, axis=0)
     kx = gx.wavenumbers()
     k1, k2 = hbar * kx, hbar * gy.wavenumbers()
     momentum = np.zeros(5)      # |psi~|^2-weighted sums of k1, k2, k1^2, k1 k2, k2^2
-    for rows in row_blocks(*psi.shape):
+    marginal = np.zeros(n2)     # |psi~|^2 summed over k1
+    for rows in row_blocks(n1, n2):
         dens = np.abs(np.fft.fft(spec[rows], axis=1))
         dens *= dens
         momentum += _moment_sums(dens, k1[rows, None], k2)
+        marginal += dens.sum(axis=0)
     # unnormalized DFT: sum |psi~|^2 = psi.size sum |psi|^2, box-offset phases drop
     momentum *= w / psi.size
     kx[gx.n_points // 2] = 0.0
     spec *= (1j * kx)[:, None]
     d1 = np.fft.ifft(spec, axis=0, out=spec)  # d(psi)/dx1, as spectral_derivative_axis
 
-    x1, x2 = gx.points(), gy.points()
-    v1 = np.zeros_like(p)
-    v2 = np.zeros_like(p)
-    position = np.zeros(5)      # p-weighted sums of x1, x2, x1^2, x1 x2, x2^2
-    classical = np.zeros(5)     # the same for v1, v2
-    nonclassical = np.zeros(5)  # <psi|chi1>, <psi|chi2>, <chi1|chi1>, <chi1|chi2>, <chi2|chi2>
-    information = np.zeros(3)
-    for rows in row_blocks(*p.shape):
-        psi_b, p_b, m_b, d1_b = psi[rows], p[rows], mask[rows], d1[rows]
-        d2_b = spectral_derivative_axis(psi_b, gy, axis=1)
-        flux1 = hbar * np.imag(np.conj(psi_b) * d1_b)  # = p * v1
-        flux2 = hbar * np.imag(np.conj(psi_b) * d2_b)
-        v1_b, v2_b = v1[rows], v2[rows]
-        v1_b[m_b] = flux1[m_b] / p_b[m_b]
-        v2_b[m_b] = flux2[m_b] / p_b[m_b]
-        position += _moment_sums(p_b, x1[rows, None], x2)
-        classical += _moment_sums(p_b, v1_b, v2_b)
-
-        # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly
-        chi1 = -1j * hbar * d1_b - v1_b * psi_b
-        chi2 = -1j * hbar * d2_b - v2_b * psi_b
-        nonclassical += np.real([np.vdot(psi_b, chi1), np.vdot(psi_b, chi2),
-                                 np.vdot(chi1, chi1), np.vdot(chi1, chi2),
-                                 np.vdot(chi2, chi2)])
-        information += plane_information_rows(p_b, grad_x[rows], m_b, gy)
-    del spec, d1, d1_b, grad_x  # the last block's view would keep the buffer alive
+    sums = np.zeros(10)         # classical then nonclassical, as in _row_sums
+    values_1, values_2 = [], []
+    mixed = 0.0
+    floor = 1e-6 * peak
+    for rows in row_blocks(n1, n2):
+        lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, n1)
+        block, v1, v2, block_mixed = _row_sums(
+            psi[lo:hi], d1[lo:hi], mask[lo:hi], slice(rows.start - lo, rows.stop - lo),
+            (lo == 0, hi == n1), floor, state)
+        sums += block
+        values_1.append(v1)
+        values_2.append(v2)
+        mixed = max(mixed, block_mixed)
+    del spec, d1
 
     cov_x, cov_p = _cov(position * w), _cov(momentum)
-    cov_cl = _cov(classical * w)
-    cov_nc = _cov(nonclassical * w)
-    mean_nc = nonclassical[:2] * w
+    cov_cl = _cov(sums[:5] * w)
+    cov_nc = _cov(sums[5:] * w)
+    mean_nc = sums[5:7] * w
     scale = max(float(np.max(np.abs(cov_p))), 1e-300)
     additivity = float(np.max(np.abs(cov_p - cov_cl - cov_nc))) / scale
 
-    mixed = _mixed_partials_residual(v1, v2, p, state)
-
     # Fisher information of the normalized density p / total
-    total = float(np.sum(p)) * w
+    total *= w
     information *= w / total
-    return TwoParticleDecomposition(v1, v2, mask, cov_x, cov_p, cov_cl, cov_nc,
-                                    additivity, mixed, mean_nc, information,
-                                    position[:2] * w, momentum[:2])
+    return TwoParticleDecomposition(np.concatenate(values_1), np.concatenate(values_2), mask,
+                                    cov_x, cov_p, cov_cl, cov_nc, additivity, mixed, mean_nc,
+                                    information, position[:2] * w, momentum[:2],
+                                    _partner_momentum_density(marginal / n1, state))
 
 
-def _mixed_partials_residual(v1, v2, p, state) -> float:
+def _row_sums(psi, d1, retained, inner, edges, floor, state):
+    """The classical and nonclassical sums of the ``inner`` rows of a block,
+    their retained classical values, and the block's mixed-partials residual.
+
+    ``psi``, ``d1`` = d(psi)/dx1 and ``retained`` hold the inner rows plus
+    one halo row on each side that the lattice has (``edges`` tells where it
+    has none): the residual's x1 stencil reads them.
+    """
+    hbar = state.constants.hbar
+    p = np.abs(psi) ** 2
+    d2 = spectral_derivative_axis(psi, state.grid_y, axis=1)
+    v1 = _classical_component(psi, d1, p, retained, hbar)
+    v2 = _classical_component(psi, d2, p, retained, hbar)
+    mixed = _mixed_partials_residual(v1, v2, p, state, floor, edges)
+
+    psi, d1, d2, p, v1, v2, retained = (a[inner] for a in (psi, d1, d2, p, v1, v2, retained))
+    # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly
+    chi1 = -1j * hbar * d1
+    chi1 -= v1 * psi
+    chi2 = -1j * hbar * d2
+    chi2 -= v2 * psi
+    nonclassical = np.real([np.vdot(psi, chi1), np.vdot(psi, chi2), np.vdot(chi1, chi1),
+                            np.vdot(chi1, chi2), np.vdot(chi2, chi2)])
+    sums = np.concatenate([_moment_sums(p, v1, v2), nonclassical])
+    return sums, v1[retained], v2[retained], mixed
+
+
+def _classical_component(psi, d, p, retained, hbar) -> np.ndarray:
+    """hbar Im(conj(psi) d) / p on the retained points, 0 elsewhere."""
+    v = np.zeros_like(p)
+    v[retained] = hbar * np.imag(np.conj(psi[retained]) * d[retained]) / p[retained]
+    return v
+
+
+def _mixed_partials_residual(v1, v2, p, state, floor=None, edges=(True, True)) -> float:
     """Max |d(v1)/dx2 - d(v2)/dx1| on the well-retained core.
+
+    The arrays hold consecutive whole rows; rows 1 to -2 are evaluated and
+    the first and last rows serve as their x1 neighbours.  The core is
+    p > ``floor`` (by default 1e-6 max p) without the lattice's edge rows
+    and columns; ``edges`` tells whether the first and last rows are the
+    lattice's.  Only points whose whole stencil lies in the core count.
 
     Local differences only: the fields are defined just where the density
     is retained, so spectral stencils would drag in masked noise.
     """
-    core = p > 1e-6 * p.max()
-    core[[0, -1], :] = False
+    core = p > (1e-6 * p.max() if floor is None else floor)
     core[:, [0, -1]] = False
-    d_v1_d2 = np.gradient(v1, state.grid_y.dx, axis=1)
-    d_v2_d1 = np.gradient(v2, state.grid_x.dx, axis=0)
-    # exclude points whose stencil touches masked neighbours
-    interior = core & np.roll(core, 1, 0) & np.roll(core, -1, 0) \
-        & np.roll(core, 1, 1) & np.roll(core, -1, 1)
-    if not interior.any():
+    if edges[0]:
+        core[0] = False
+    if edges[1]:
+        core[-1] = False
+    interior = core[1:-1, 1:-1] & core[:-2, 1:-1] & core[2:, 1:-1] \
+        & core[1:-1, :-2] & core[1:-1, 2:]
+    i, j = np.nonzero(interior)
+    if i.size == 0:
         return 0.0
-    return float(np.max(np.abs(d_v1_d2[interior] - d_v2_d1[interior])))
+    i += 1
+    j += 1
+    # np.gradient's central differences
+    d_v1_d2 = (v1[i, j + 1] - v1[i, j - 1]) / (2. * state.grid_y.dx)
+    d_v2_d1 = (v2[i + 1, j] - v2[i - 1, j]) / (2. * state.grid_x.dx)
+    return float(np.max(np.abs(d_v1_d2 - d_v2_d1)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +395,41 @@ def collapse_position(state: Grid2DPureState, x: float) -> tuple[GridPureState, 
     return collapsed, classical_estimate(collapsed, "position", "P")
 
 
-def collapse_momentum(state: Grid2DPureState, p: float) -> tuple[GridPureState, ClassicalComponent]:
+def collapse_momentum(state: Grid2DPureState, p: float,
+                      marginal: np.ndarray | None = None) -> tuple[GridPureState, ClassicalComponent]:
     """Condition on particle 2 momentum p via the partial Fourier transform.
 
     The transform over x2 is evaluated at the exact requested p (a direct
-    Fourier sum), not at the nearest lattice point.
+    Fourier sum), not at the nearest lattice point.  Its mass is checked
+    against the peak of the particle-2 momentum marginal on the lattice:
+    ``marginal`` when given (``TwoParticleDecomposition.momentum_marginal``),
+    else ``momentum_marginal(state)``.
     """
     hbar = state.constants.hbar
     gy = state.grid_y
     kernel = np.exp(-1j * p * gy.points() / hbar) * gy.dx / np.sqrt(2.0 * np.pi * hbar)
     sliced = state.amplitudes @ kernel
     mass = float(np.sum(np.abs(sliced) ** 2) * state.grid_x.dx)
-
-    # compare against the particle-2 momentum marginal on the lattice
-    marginal = np.zeros(gy.n_points)  # up to common scale
-    for rows in row_blocks(*state.amplitudes.shape):
-        marginal += np.sum(np.abs(np.fft.fft(state.amplitudes[rows], axis=1)) ** 2, axis=0)
-    lattice_max = float(marginal.max() * state.grid_x.dx * gy.dx ** 2 / (2.0 * np.pi * hbar))
-    if mass <= 1e-12 * lattice_max:
+    if marginal is None:
+        marginal = momentum_marginal(state)
+    if mass <= 1e-12 * float(marginal.max()):
         raise VanishingDensity(f"no support at p2 = {p}")
     collapsed = normalize(GridPureState(state.grid_x, sliced, state.constants))
     return collapsed, classical_estimate(collapsed, "position", "P")
+
+
+def momentum_marginal(state: Grid2DPureState) -> np.ndarray:
+    """The particle-2 momentum density at the lattice momenta hbar k2 (fft
+    order), from blocks of rows transformed along x2."""
+    sums = np.zeros(state.grid_y.n_points)
+    for rows in row_blocks(*state.amplitudes.shape):
+        sums += np.sum(np.abs(np.fft.fft(state.amplitudes[rows], axis=1)) ** 2, axis=0)
+    return _partner_momentum_density(sums, state)
+
+
+def _partner_momentum_density(sums: np.ndarray, state: Grid2DPureState) -> np.ndarray:
+    """The particle-2 momentum density from the x1-sums of |DFT_x2 psi|^2."""
+    return sums * (state.grid_x.dx * state.grid_y.dx ** 2 / (2.0 * np.pi * state.constants.hbar))
 
 
 def momentum_collapse_prediction(params: EprParams, p: float) -> float:

@@ -327,6 +327,104 @@ class TestOneDecompositionPerReport:
             assert moments[key] == pytest.approx(expected, rel=1e-12, abs=0.0), key
 
 
+class TestStreamedDecomposition:
+    """Only psi, the axis-0 spectrum and the mask are full-size; the rest is
+    built per block, with halo rows for the mixed-partials stencil."""
+
+    def test_block_size_invariance(self, small_epr, monkeypatch):
+        from exact_uncertainty import grids
+
+        ref = nonclassical_components_2d(small_epr)
+        monkeypatch.setattr(grids, "BLOCK_BYTES", 64 << 10)
+        assert len(list(grids.row_blocks(*small_epr.amplitudes.shape))) > 100
+        parts = nonclassical_components_2d(small_epr)
+
+        assert np.array_equal(parts.retained, ref.retained)
+        assert np.array_equal(parts.classical_field_1, ref.classical_field_1)
+        assert np.array_equal(parts.classical_field_2, ref.classical_field_2)
+        assert parts.mixed_partials_residual == ref.mixed_partials_residual
+        assert parts.mixed_partials_residual > 0.0
+        for name in ("cov_position", "cov_momentum", "cov_nonclassical", "cov_fisher",
+                     "mean_position", "mean_momentum", "momentum_marginal"):
+            np.testing.assert_allclose(getattr(parts, name), getattr(ref, name),
+                                       rtol=1e-12, atol=0.0, err_msg=name)
+        # Cov(P_cl) and <P_nc> are rounding noise here, compared on the
+        # scale of Cov(P) as the additivity residual is
+        scale = np.max(np.abs(ref.cov_momentum))
+        np.testing.assert_allclose(parts.cov_classical, ref.cov_classical,
+                                   rtol=0.0, atol=1e-12 * scale)
+        np.testing.assert_allclose(parts.mean_nonclassical, ref.mean_nonclassical,
+                                   rtol=0.0, atol=1e-12 * np.sqrt(scale))
+
+    def test_mixed_partials_blocks_match_gradient_formula(self):
+        from exact_uncertainty.twoparticle import _mixed_partials_residual
+
+        rng = np.random.default_rng(5)
+        n1, n2 = 16, 12
+        gx, gy = GridSpec(n1, -2.0, 2.0), GridSpec(n2, -1.0, 2.0)
+        st = Grid2DPureState(gx, gy, np.ones((n1, n2), dtype=complex))
+        v1, v2 = rng.normal(size=(2, n1, n2))
+        # rows and columns next to the lattice edges, outside the interior
+        v1[[1, -2]] *= 100.0
+        v2[:, [1, -2]] *= 100.0
+        p = rng.uniform(0.5, 1.0, size=(n1, n2))
+        p[5, 7] = 0.0  # a hole in the core
+        core = p > 1e-6 * p.max()
+        core[[0, -1], :] = False
+        core[:, [0, -1]] = False
+        interior = core & np.roll(core, 1, 0) & np.roll(core, -1, 0) \
+            & np.roll(core, 1, 1) & np.roll(core, -1, 1)
+        diff = np.gradient(v1, gy.dx, axis=1) - np.gradient(v2, gx.dx, axis=0)
+        expected = float(np.max(np.abs(diff[interior])))
+        assert _mixed_partials_residual(v1, v2, p, st) == expected
+
+        floor = 1e-6 * p.max()
+        for step in (1, 2, 5):
+            got = 0.0
+            for start in range(0, n1, step):
+                lo, hi = max(start - 1, 0), min(start + step + 1, n1)
+                got = max(got, _mixed_partials_residual(v1[lo:hi], v2[lo:hi], p[lo:hi], st,
+                                                        floor, (lo == 0, hi == n1)))
+            assert got == expected, step
+
+    def test_peak_memory(self, small_epr):
+        import tracemalloc
+
+        from exact_uncertainty.grids import BLOCK_BYTES
+
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            nonclassical_components_2d(small_epr)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        # the axis-0 spectrum plus row-block temporaries: 88 MiB at 1536^2,
+        # against 160 MiB when p, dp/dx1 and both classical fields were whole
+        assert peak <= small_epr.amplitudes.nbytes + 8 * BLOCK_BYTES
+
+    def test_collapse_reuses_decomposition_marginal(self, small_epr):
+        from exact_uncertainty.twoparticle import momentum_marginal
+
+        parts = nonclassical_components_2d(small_epr)
+        blocked = momentum_marginal(small_epr)
+        assert parts.momentum_marginal.max() == pytest.approx(blocked.max(), rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(parts.momentum_marginal, blocked,
+                                   rtol=0.0, atol=1e-12 * blocked.max())
+        # a density over the lattice momenta, dp2 = 2 pi hbar / (n dx2)
+        dp = small_epr.grid_y.momentum_spacing(small_epr.constants.hbar)
+        assert np.sum(blocked) * dp == pytest.approx(1.0, abs=1e-12)
+
+        for p in (0.5, -0.4):
+            state_a, comp_a = collapse_momentum(small_epr, p)
+            state_b, comp_b = collapse_momentum(small_epr, p, parts.momentum_marginal)
+            assert np.array_equal(state_a.amplitudes, state_b.amplitudes)
+            assert np.array_equal(comp_a.values, comp_b.values)
+            assert comp_a.mean == comp_b.mean
+        with pytest.raises(VanishingDensity):
+            collapse_momentum(small_epr, 60.0, parts.momentum_marginal)
+
+
 def unblocked_reference(state):
     """Whole-array versions of the decomposition, Fisher covariance and EPR
     moment formulas, with the momentum density built from the phase-corrected,
