@@ -33,6 +33,15 @@ def _moment_sums(weights: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndar
     return np.array([w1.sum(), w2.sum(), (w1 * a1).sum(), (w1 * a2).sum(), (w2 * a2).sum()])
 
 
+def _separable_sums(weights: np.ndarray, a1: np.ndarray, a2: np.ndarray):
+    """``_moment_sums(weights, a1[:, None], a2)`` of a block whose a1 varies
+    per row and a2 per column, from its row sums, its column sums and one
+    row reduction against a2; and the column sums."""
+    rows, cols = weights.sum(axis=1), weights.sum(axis=0)
+    cross = a1 @ np.einsum("ij,j->i", weights, a2)
+    return np.array([rows @ a1, cols @ a2, rows @ a1 ** 2, cross, cols @ a2 ** 2]), cols
+
+
 def _cov(moments) -> np.ndarray:
     """Covariance matrix from the moments (E a1, E a2, E a1^2, E a1 a2, E a2^2)."""
     m1, m2, s11, s12, s22 = moments
@@ -97,19 +106,22 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     of columns and feeds sums, a maximum or the retained classical values.
     The passes over psi:
 
-    1. max |psi|^2, read as ``peak_amplitude()**2``;
-    2. dp/dx1, transformed along x1 from blocks of whole columns of
-       p = |psi|^2 (``real_derivative_columns``);
-    3. per block of rows: the mask, the masked and total mass, the position
-       moments and the Fisher information sums; dp/dx1 is then freed,
-       before ``spec`` exists;
-    4. psi transformed along x1 into ``spec``; its row blocks transformed
-       along x2 give the k-space density |psi~|^2, whose moments give Cov(P)
-       and <P> and whose k1-sums give the particle-2 momentum marginal;
-       then ``spec`` times i k1, transformed back in place, is d(psi)/dx1;
-    5. per block of rows, with one halo row on each side: d(psi)/dx2, the
-       fluxes, the classical components, chi_k = (P_k - P_cl^(k)) psi and
-       their sums, and the mixed-partials residual.
+    1. dp/dx1, transformed along x1 from blocks of whole columns of
+       p = |psi|^2 (``real_derivative_columns``), and max p over the same
+       column blocks;
+    2. per block of rows: the mask, the masked and total mass, the position
+       moments from the row and column sums (``_separable_sums``) and the
+       Fisher information sums; dp/dx1 is then freed, before ``spec``
+       exists;
+    3. psi transformed along x1 into ``spec``; its row blocks transformed
+       along x2 give the k-space density |psi~|^2, whose row and column sums
+       give Cov(P) and <P>, and whose column sums are the particle-2
+       momentum marginal; then ``spec`` times i k1, transformed back in
+       place, is d(psi)/dx1;
+    4. per block of rows, with one halo row on each side: d(psi)/dx2 and
+       chi_k = (P_k - P_cl^(k)) psi with their sums; the classical
+       components, their sums and the mixed-partials residual only on the
+       block's window of retained columns (``_row_sums``).
 
     Two quantities keep paths of their own on purpose.  Cov(P) comes from
     |psi~|^2, not from <d psi|d psi>: with the same d(psi) the additivity
@@ -125,9 +137,15 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     gx, gy = state.grid_x, state.grid_y
     n1, n2 = psi.shape
     x1, x2 = gx.points(), gy.points()
-    peak = state.peak_amplitude() ** 2  # max |psi|^2, bit for bit
+    peak = 0.0                  # max |psi|^2, from the column blocks of pass 1
 
-    grad_x = real_derivative_columns(lambda cols: np.abs(psi[:, cols]) ** 2, psi.shape, gx)
+    def density_columns(cols):
+        nonlocal peak
+        p_cols = np.abs(psi[:, cols]) ** 2
+        peak = max(peak, p_cols.max())
+        return p_cols
+
+    grad_x = real_derivative_columns(density_columns, psi.shape, gx)
     mask = np.empty(psi.shape, dtype=bool)
     position = np.zeros(5)      # p-weighted sums of x1, x2, x1^2, x1 x2, x2^2
     information = np.zeros(3)
@@ -135,9 +153,10 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     for rows in row_blocks(n1, n2):
         p_b = np.abs(psi[rows]) ** 2
         m_b = mask[rows] = floor_mask(p_b, peak)
-        total += p_b.sum()
+        block, cols = _separable_sums(p_b, x1[rows], x2)
+        position += block
+        total += cols.sum()
         masked += p_b[~m_b].sum()
-        position += _moment_sums(p_b, x1[rows, None], x2)
         information += plane_information_rows(p_b, grad_x[rows], m_b, gy)
     del grad_x
     if masked * w > MASKED_MASS_LIMIT:
@@ -151,8 +170,9 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     for rows in row_blocks(n1, n2):
         dens = np.abs(np.fft.fft(spec[rows], axis=1))
         dens *= dens
-        momentum += _moment_sums(dens, k1[rows, None], k2)
-        marginal += dens.sum(axis=0)
+        block, cols = _separable_sums(dens, k1[rows], k2)
+        momentum += block
+        marginal += cols
     # unnormalized DFT: sum |psi~|^2 = psi.size sum |psi|^2, box-offset phases drop
     momentum *= w / psi.size
     kx[gx.n_points // 2] = 0.0
@@ -196,25 +216,33 @@ def _row_sums(psi, d1, retained, inner, edges, floor, state):
 
     ``psi``, ``d1`` = d(psi)/dx1 and ``retained`` hold the inner rows plus
     one halo row on each side that the lattice has (``edges`` tells where it
-    has none): the residual's x1 stencil reads them.
+    has none): the residual's x1 stencil reads them.  The classical work
+    runs on the block's retained columns plus one halo column on each side.
     """
     hbar = state.constants.hbar
-    p = np.abs(psi) ** 2
     d2 = spectral_derivative_axis(psi, state.grid_y, axis=1)
-    v1 = _classical_component(psi, d1, p, retained, hbar)
-    v2 = _classical_component(psi, d2, p, retained, hbar)
+    cols = np.flatnonzero(retained.any(axis=0))
+    win = slice(max(cols[0] - 1, 0), cols[-1] + 2) if cols.size else slice(0, 0)
+    psi_w, retained_w = psi[:, win], retained[:, win]
+    p = np.abs(psi_w) ** 2
+    v1 = _classical_component(psi_w, d1[:, win], p, retained_w, hbar)
+    v2 = _classical_component(psi_w, d2[:, win], p, retained_w, hbar)
     mixed = _mixed_partials_residual(v1, v2, p, state, floor, edges)
 
-    psi, d1, d2, p, v1, v2, retained = (a[inner] for a in (psi, d1, d2, p, v1, v2, retained))
-    # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly
-    chi1 = -1j * hbar * d1
-    chi1 -= v1 * psi
-    chi2 = -1j * hbar * d2
-    chi2 -= v2 * psi
+    at = retained_w[inner]
+    psi_at, p, v1, v2 = psi_w[inner][at], p[inner][at], v1[inner][at], v2[inner][at]
+    psi = psi[inner]
+    # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly; off
+    # the mask v_k psi is a signed zero, so only the retained points change
+    chi1 = -1j * hbar * d1[inner]
+    chi2 = d2[inner]
+    chi2 *= -1j * hbar
+    chi1[:, win][at] -= v1 * psi_at
+    chi2[:, win][at] -= v2 * psi_at
     nonclassical = np.real([np.vdot(psi, chi1), np.vdot(psi, chi2), np.vdot(chi1, chi1),
                             np.vdot(chi1, chi2), np.vdot(chi2, chi2)])
     sums = np.concatenate([_moment_sums(p, v1, v2), nonclassical])
-    return sums, v1[retained], v2[retained], mixed
+    return sums, v1, v2, mixed
 
 
 def _classical_component(psi, d, p, retained, hbar) -> np.ndarray:
@@ -227,17 +255,19 @@ def _classical_component(psi, d, p, retained, hbar) -> np.ndarray:
 def _mixed_partials_residual(v1, v2, p, state, floor=None, edges=(True, True)) -> float:
     """Max |d(v1)/dx2 - d(v2)/dx1| on the well-retained core.
 
-    The arrays hold consecutive whole rows; rows 1 to -2 are evaluated and
-    the first and last rows serve as their x1 neighbours.  The core is
-    p > ``floor`` (by default 1e-6 max p) without the lattice's edge rows
-    and columns; ``edges`` tells whether the first and last rows are the
-    lattice's.  Only points whose whole stencil lies in the core count.
+    The arrays hold consecutive rows of a range of columns whose first and
+    last columns are the lattice's or hold no core point; rows 1 to -2 are
+    evaluated and the first and last rows serve as their x1 neighbours.
+    The core is p > ``floor`` (by default 1e-6 max p) without the first and
+    last columns and without the lattice's edge rows; ``edges`` tells
+    whether the first and last rows are the lattice's.  Only points whose
+    whole stencil lies in the core count.
 
     Local differences only: the fields are defined just where the density
     is retained, so spectral stencils would drag in masked noise.
     """
     core = p > (1e-6 * p.max() if floor is None else floor)
-    core[:, [0, -1]] = False
+    core[:, :1] = core[:, -1:] = False
     if edges[0]:
         core[0] = False
     if edges[1]:
@@ -354,12 +384,19 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
     psi = np.empty((grid_x.n_points, grid_y.n_points), dtype=complex)
     norm_sq = 0.0
     for rows in row_blocks(*psi.shape):
-        rel = x1[rows, None] - x2 - params.a
-        com = x1[rows, None] + x2
+        # -(x1 - x2 - a)^2 / 4 sigma^2 - (x1 + x2)^2 / 4 tau^2, in place
+        expo = np.subtract(x1[rows, None], x2)
+        expo -= params.a
+        np.square(expo, out=expo)
+        expo /= 4.0 * params.sigma ** 2
+        np.negative(expo, out=expo)
+        com = np.add(x1[rows, None], x2)
+        np.square(com, out=com)
+        com /= 4.0 * params.tau ** 2
+        expo -= com
         block = psi[rows]
         np.multiply(phase1[rows, None], phase2, out=block)
-        block *= np.exp(-rel ** 2 / (4.0 * params.sigma ** 2)
-                        - com ** 2 / (4.0 * params.tau ** 2))
+        block *= np.exp(expo, out=expo)
         norm_sq += np.vdot(block, block).real
     norm_sq *= grid_x.dx * grid_y.dx
     _check_scale(norm_sq)

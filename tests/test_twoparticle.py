@@ -27,6 +27,11 @@ def small_epr():
     return build_epr(SMALL, gx, gy)
 
 
+@pytest.fixture(scope="module")
+def small_epr_reference(small_epr):
+    return unblocked_reference(small_epr)
+
+
 def product_state(n=192, span=10.0, k1=0.0, chirp1=0.0):
     g = GridSpec(n, -span, span)
     x = g.points()
@@ -290,14 +295,14 @@ class TestOneDecompositionPerReport:
         assert fft2_calls == []
         assert whole_axis0 == [np.complex128]
 
-    def test_blocked_reductions_match_unblocked_formulas(self, small_epr):
+    def test_blocked_reductions_match_unblocked_formulas(self, small_epr, small_epr_reference):
         from exact_uncertainty.fisher import fisher_covariance
         from exact_uncertainty.grids import row_blocks
         from exact_uncertainty.twoparticle import position_plane_density
 
         st = small_epr
         assert len(list(row_blocks(*st.amplitudes.shape))) > 2
-        ref = unblocked_reference(st)
+        ref = small_epr_reference
         parts = nonclassical_components_2d(st)
 
         # the fields and the mask are elementwise, so they are bit for bit equal
@@ -386,6 +391,74 @@ class TestStreamedDecomposition:
                 got = max(got, _mixed_partials_residual(v1[lo:hi], v2[lo:hi], p[lo:hi], st,
                                                         floor, (lo == 0, hi == n1)))
             assert got == expected, step
+
+    def test_separable_sums_match_block_formula(self):
+        from exact_uncertainty.twoparticle import _moment_sums, _separable_sums
+
+        rng = np.random.default_rng(11)
+        n1, n2 = 300, 1000
+        weights = rng.normal(0.5, 1.0, size=(n1, n2))  # signed
+        a1, a2 = rng.uniform(1.0, 2.0, size=n1), rng.uniform(-2.0, -1.0, size=n2)
+        sums, cols = np.zeros(5), np.zeros(n2)
+        blocks = [slice(start, start + 64) for start in range(0, n1, 64)]
+        assert len(blocks) >= 3
+        for rows in blocks:
+            block, block_cols = _separable_sums(weights[rows], a1[rows], a2)
+            sums += block
+            cols += block_cols
+        np.testing.assert_allclose(sums, _moment_sums(weights, a1[:, None], a2),
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(cols, weights.sum(axis=0), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("case", ["edge_to_edge", "cut", "banded"])
+    def test_column_windows_match_unblocked_reference(self, case, request, monkeypatch):
+        from exact_uncertainty import grids
+
+        if case == "banded":
+            st = request.getfixturevalue("small_epr")
+            ref = request.getfixturevalue("small_epr_reference")
+        else:
+            # edge_to_edge: the core reaches the lattice's first and last
+            # columns, so every window is the full width and the edge columns
+            # bound it; cut: the core spans columns 20-79 with no retained
+            # point beside it, so halo columns bound every window, and the
+            # residual peaks at column 78, whose stencil reads column 79
+            g = GridSpec(96, -5.0, 5.0) if case == "edge_to_edge" else GridSpec(96, -8.0, 8.0)
+            x1, x2 = g.points()[:, None], g.points()[None, :]
+            chirp = 1j * (0.3 * x1 * x2 + 0.2 * x2 ** 2)
+            if case == "edge_to_edge":
+                psi = np.exp(-x1 ** 2 / 16.0 - x2 ** 2 / 25.0 + chirp)
+            else:
+                psi = np.exp(-x1 ** 2 / 4.0 - x2 ** 2 / 64.0 + chirp)
+                psi[:, :20] = psi[:, 80:] = 0.0
+            st = normalize(Grid2DPureState(g, g, psi))
+            ref = unblocked_reference(st)
+            monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 16 * 96)
+        blocks = list(grids.row_blocks(*st.amplitudes.shape))
+        assert len(blocks) > 2
+        parts = nonclassical_components_2d(st)
+        p = st.position_density()
+        core = p > 1e-6 * p.max()
+        if case == "edge_to_edge":
+            assert core[:, [0, -1]].all()
+        elif case == "cut":
+            assert core[:, 20].any() and core[:, 79].any()
+            assert not parts.retained[:, :20].any() and not parts.retained[:, 80:].any()
+        else:
+            # the retained band of a middle block is a narrow window
+            middle = parts.retained[blocks[len(blocks) // 2]].any(axis=0)
+            assert np.ptp(np.flatnonzero(middle)) < st.grid_y.n_points // 2
+
+        assert np.array_equal(parts.retained, ref["mask"])
+        assert np.array_equal(parts.classical_field_1, ref["v1"])
+        assert np.array_equal(parts.classical_field_2, ref["v2"])
+        assert parts.mixed_partials_residual == ref["mixed"]
+        assert parts.mixed_partials_residual > 0.0
+        # the cut state's Cov(P_nc) is nearly diagonal (off-diagonal 6e-6 of
+        # the diagonal), so it is compared on the scale of its diagonal
+        scale = np.max(np.abs(ref["cov_nonclassical"])) if case == "cut" else 0.0
+        np.testing.assert_allclose(parts.cov_nonclassical, ref["cov_nonclassical"],
+                                   rtol=1e-12, atol=1e-12 * scale)
 
     def test_peak_memory(self, small_epr):
         import tracemalloc
