@@ -410,7 +410,7 @@ class TestStreamedDecomposition:
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(cols, weights.sum(axis=0), rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("case", ["edge_to_edge", "cut", "banded"])
+    @pytest.mark.parametrize("case", ["edge_to_edge", "cut", "cut_mirrored", "banded"])
     def test_column_windows_match_unblocked_reference(self, case, request, monkeypatch):
         from exact_uncertainty import grids
 
@@ -423,6 +423,7 @@ class TestStreamedDecomposition:
             # bound it; cut: the core spans columns 20-79 with no retained
             # point beside it, so halo columns bound every window, and the
             # residual peaks at column 78, whose stencil reads column 79
+            # (at column 17 next to column 16 when mirrored)
             g = GridSpec(96, -5.0, 5.0) if case == "edge_to_edge" else GridSpec(96, -8.0, 8.0)
             x1, x2 = g.points()[:, None], g.points()[None, :]
             chirp = 1j * (0.3 * x1 * x2 + 0.2 * x2 ** 2)
@@ -431,6 +432,8 @@ class TestStreamedDecomposition:
             else:
                 psi = np.exp(-x1 ** 2 / 4.0 - x2 ** 2 / 64.0 + chirp)
                 psi[:, :20] = psi[:, 80:] = 0.0
+                if case == "cut_mirrored":
+                    psi = psi[:, ::-1]
             st = normalize(Grid2DPureState(g, g, psi))
             ref = unblocked_reference(st)
             monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 16 * 96)
@@ -441,9 +444,11 @@ class TestStreamedDecomposition:
         core = p > 1e-6 * p.max()
         if case == "edge_to_edge":
             assert core[:, [0, -1]].all()
-        elif case == "cut":
-            assert core[:, 20].any() and core[:, 79].any()
-            assert not parts.retained[:, :20].any() and not parts.retained[:, 80:].any()
+        elif case.startswith("cut"):
+            cols = np.flatnonzero(parts.retained.any(axis=0))
+            assert cols.size == cols[-1] - cols[0] + 1 == 60
+            assert core[:, cols[0]].any() and core[:, cols[-1]].any()
+            assert 0 < cols[0] and cols[-1] < st.grid_y.n_points - 1
         else:
             # the retained band of a middle block is a narrow window
             middle = parts.retained[blocks[len(blocks) // 2]].any(axis=0)
@@ -456,7 +461,7 @@ class TestStreamedDecomposition:
         assert parts.mixed_partials_residual > 0.0
         # the cut state's Cov(P_nc) is nearly diagonal (off-diagonal 6e-6 of
         # the diagonal), so it is compared on the scale of its diagonal
-        scale = np.max(np.abs(ref["cov_nonclassical"])) if case == "cut" else 0.0
+        scale = np.max(np.abs(ref["cov_nonclassical"])) if case.startswith("cut") else 0.0
         np.testing.assert_allclose(parts.cov_nonclassical, ref["cov_nonclassical"],
                                    rtol=1e-12, atol=1e-12 * scale)
 
