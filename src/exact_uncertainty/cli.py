@@ -385,7 +385,7 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
     state = build_epr(params, gx, gy, constants)
     parts = nonclassical_components_2d(state)
     corr = correlations(parts)
-    _, comp_x = collapse_position(state, args.collapse_x)
+    _, comp_x = collapse_position(state, args.collapse_x, parts.peak_density)
     _, comp_p = collapse_momentum(state, args.collapse_p, parts.momentum_marginal)
     target = (0.5 * constants.hbar) ** 2
     heis = parts.cov_position @ parts.cov_momentum
@@ -421,7 +421,7 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
             "classical_momentum_after_momentum_collapse": comp_p.mean,
             "formula_prediction": momentum_collapse_prediction(params, args.collapse_p),
         },
-        "box_warning": state.box_warning(),
+        "box_warning": state.box_warning(parts.peak_density),
     }
     return 0, doc
 

@@ -455,7 +455,7 @@ def verify_multidim(state, tol: float = 1e-5) -> RelationReport:
         "mixed_partials_residual": parts.mixed_partials_residual,
         "heisenberg_min_eigenvalue": min_eig,
         "heisenberg_satisfied": bool(heis_ok),
-        "warnings": (["BoxTooSmall"] if state.box_warning() else []),
+        "warnings": (["BoxTooSmall"] if state.box_warning(parts.peak_density) else []),
     }
     verdict = EQUALITY
     if residual > tol or vol_residual > tol or not heis_ok:

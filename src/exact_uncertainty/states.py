@@ -93,9 +93,11 @@ class Grid2DPureState:
         amps = self.amplitudes
         return max(float(np.abs(amps[rows]).max()) for rows in row_blocks(*amps.shape))
 
-    def box_warning(self) -> bool:
+    def box_warning(self, peak_density: float | None = None) -> bool:
+        """True when |psi| on the box edges exceeds EDGE_DECAY of max |psi|, which
+        is sqrt(``peak_density``) exactly when given, as sqrt(fl(a^2)) = a."""
         a = self.amplitudes
-        peak = self.peak_amplitude()
+        peak = self.peak_amplitude() if peak_density is None else np.sqrt(peak_density)
         edge = max(np.abs(a[[0, -1], :]).max(), np.abs(a[:, [0, -1]]).max())
         return bool(peak > 0 and edge > EDGE_DECAY * peak)
 

@@ -92,6 +92,63 @@ class TestBuild:
             build_epr(SMALL, tight, tight)
 
 
+def _band_case(case):
+    """(params, grid_x, grid_y, BLOCK_BYTES or None) of a banded-build case."""
+    if case == "small":
+        return (SMALL, *epr_grids(SMALL), None)
+    if case == "unequal":
+        # different x_min, n and dx per axis, each resolving sigma = 0.2
+        params = EprParams(a=1.0, sigma=0.2, tau=2.0, p0=2.0)
+        return params, GridSpec(400, -5.0, 4.6), GridSpec(512, -6.5, 5.5), 64 << 10
+    if case == "negative-a":
+        params = EprParams(a=-2.0, sigma=0.2, tau=2.0, p0=2.0)
+        return (params, *epr_grids(params), 64 << 10)
+    if case == "whole-band":
+        # 2 sigma sqrt(760) = 27.6 exceeds every |x1 - x2 - a| on the lattice
+        params = EprParams(a=0.5, sigma=0.5, tau=1.5, p0=2.0)
+        g = GridSpec(128, -4.0, 4.0)
+        return params, g, g, 64 << 10
+    # x1 reaches 20 but x2 only 3, so rows with |x1| > 14.1 have no band
+    params = EprParams(a=0.0, sigma=0.2, tau=5.0, p0=2.0)
+    return params, GridSpec(1600, -20.0, 20.0), GridSpec(240, -3.0, 3.0), 64 << 10
+
+
+class TestBandedBuild:
+    """build_epr samples each row block only on its band of columns around
+    x1 - x2 = a, where exp does not underflow; psi equals the full-grid formula."""
+
+    @pytest.mark.parametrize("case", ["small", "unequal", "negative-a", "whole-band",
+                                      "empty-blocks"])
+    def test_matches_full_grid_formula(self, case, monkeypatch):
+        from exact_uncertainty import grids
+
+        params, gx, gy, block_bytes = _band_case(case)
+        if block_bytes is not None:
+            monkeypatch.setattr(grids, "BLOCK_BYTES", block_bytes)
+        blocks = list(grids.row_blocks(gx.n_points, gy.n_points))
+        assert len(blocks) > 2
+        state = build_epr(params, gx, gy)
+        assert np.array_equal(state.amplitudes, full_grid_epr(params, gx, gy))
+
+        reach = 2.0 * params.sigma * np.sqrt(760.0)
+        x1, x2 = gx.points(), gy.points()
+        if case == "whole-band":
+            assert np.all(state.amplitudes != 0)
+        if case == "empty-blocks":
+            for rows in (blocks[0], blocks[-1]):
+                assert np.all(np.abs(x1[rows, None] - x2 - params.a) > reach)
+                assert not np.any(state.amplitudes[rows])
+
+    def test_empty_band_everywhere_is_zero_norm(self):
+        from exact_uncertainty.errors import ZeroNorm
+
+        # |x1 - x2 - a| >= 42 on the lattice: every band is empty
+        params = EprParams(a=50.0, sigma=0.5, tau=1.5, p0=2.0)
+        g = GridSpec(128, -4.0, 4.0)
+        with pytest.raises(ZeroNorm):
+            build_epr(params, g, g)
+
+
 class TestDecomposition2D:
     def test_product_state_block_diagonal(self):
         st = product_state(chirp1=0.3)
@@ -197,6 +254,36 @@ class TestCollapse:
     def test_momentum_far_tail_raises(self, small_epr):
         with pytest.raises(VanishingDensity):
             collapse_momentum(small_epr, 60.0)
+
+
+class TestPeakFromDecomposition:
+    """max |psi|^2 is read once, by the decomposition, and handed to
+    collapse_position and box_warning."""
+
+    def test_square_root_of_squares_is_exact(self, rng):
+        a = rng.uniform(0.5, 1.0, 100_000) * 2.0 ** rng.integers(-500, 500, 100_000)
+        assert np.array_equal(np.sqrt(np.abs(a) ** 2), a)
+
+    def test_collapse_position_with_peak_matches_pass(self, small_epr):
+        parts = nonclassical_components_2d(small_epr)
+        assert parts.peak_density == small_epr.peak_amplitude() ** 2
+        for x in (0.0, 1.3, -4.2):
+            state_a, comp_a = collapse_position(small_epr, x)
+            state_b, comp_b = collapse_position(small_epr, x, parts.peak_density)
+            assert np.array_equal(state_a.amplitudes, state_b.amplitudes)
+            assert np.array_equal(comp_a.values, comp_b.values)
+        far = small_epr.grid_y.x_max - 0.1
+        with pytest.raises(VanishingDensity):
+            collapse_position(small_epr, far, parts.peak_density)
+
+    def test_box_warning_with_peak_matches_pass(self, small_epr):
+        cut = product_state(n=64, span=2.0)   # |psi| at the edges is e^-1 of its peak
+        wide = product_state(n=256, span=14.0)
+        assert cut.box_warning() and not wide.box_warning()
+        for st in (small_epr, cut, wide):
+            peak_density = nonclassical_components_2d(st).peak_density
+            assert np.sqrt(peak_density) == st.peak_amplitude()
+            assert st.box_warning(peak_density) == st.box_warning()
 
 
 class TestLocality:
@@ -501,6 +588,21 @@ class TestStreamedDecomposition:
             assert comp_a.mean == comp_b.mean
         with pytest.raises(VanishingDensity):
             collapse_momentum(small_epr, 60.0, parts.momentum_marginal)
+
+
+def full_grid_epr(params, gx, gy):
+    """build_epr's exponent evaluated on the whole lattice, normalized by
+    division with the norm summed over the same row blocks."""
+    from exact_uncertainty.grids import row_blocks
+
+    x1, x2 = gx.points(), gy.points()
+    expo = -((x1[:, None] - x2 - params.a) ** 2 / (4.0 * params.sigma ** 2)) \
+        - (x1[:, None] + x2) ** 2 / (4.0 * params.tau ** 2)
+    psi = np.multiply(np.exp(0.5j * params.p0 * x1)[:, None], np.exp(0.5j * params.p0 * x2))
+    psi *= np.exp(expo)
+    norm_sq = sum(np.vdot(psi[rows], psi[rows]).real for rows in row_blocks(*psi.shape))
+    psi /= np.sqrt(norm_sq * (gx.dx * gy.dx))
+    return psi
 
 
 def unblocked_reference(state):
