@@ -8,8 +8,8 @@ from math import lgamma
 import numpy as np
 
 from exact_uncertainty import (
-    CircleDensity,
     FockState,
+    circle_density,
     classical_estimate,
     energy_split,
     extended_number_nonclassical,
@@ -41,7 +41,7 @@ print(f"nonclassical POM: mean {pom.mean:+.2e}, variance {pom.variance:.6f}")
 print(f"direct split Var N - Var N_cl = {variance(state, 'N') - comp.variance:.6f}")
 print(f"effects sum to identity within {pom.completeness_residual():.2e}")
 
-dens = CircleDensity(state.phase_density())
+dens = circle_density(state.phase_density())
 delta_phi = fisher_length_periodic(dens).fisher_length
 delta_n_nc = np.sqrt(variance(state, "N") - comp.variance)
 print(f"delta_Phi * Delta_N_nc = {delta_phi * delta_n_nc:.8f}   (target 0.5)")

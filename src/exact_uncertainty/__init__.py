@@ -16,7 +16,7 @@ from .decomposition import (
     extended_number_nonclassical,
     minimum_error,
 )
-from .densities import CircleDensity, DiscreteDistribution, LineDensity, PlaneDensity
+from .densities import DiscreteDistribution, LineDensity, PlaneDensity, circle_density
 from .energy import (
     BoundReport,
     EnergyModel,

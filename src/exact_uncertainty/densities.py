@@ -61,48 +61,11 @@ class LineDensity:
         return float(np.sum(self.values[~self.mask()]) * self.grid.dx)
 
 
-@dataclass(frozen=True)
-class CircleDensity:
-    """Samples p(phi_m) on the uniform grid phi_m = 2*pi*m/M over [0, 2*pi)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 8:
-            raise ValueError("need at least 8 circle samples")
-        if vals.min() < -1e-14 * max(vals.max(), 1.0):
-            raise ValueError("density has negative values")
-        object.__setattr__(self, "values", np.clip(vals, 0.0, None))
-
-    @property
-    def n_points(self) -> int:
-        return self.values.size
-
-    @property
-    def dphi(self) -> float:
-        return 2.0 * np.pi / self.values.size
-
-    def angles(self) -> np.ndarray:
-        return self.dphi * np.arange(self.values.size)
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.values) * self.dphi)
-
-    def normalized(self) -> "CircleDensity":
-        return CircleDensity(self.values / self.total)
-
-    def mask(self) -> np.ndarray:
-        return floor_mask(self.values)
-
-    def value_at(self, phi: float) -> float:
-        """Linear interpolation on the periodic grid."""
-        m = self.values.size
-        t = (phi % (2.0 * np.pi)) / self.dphi
-        lo = int(np.floor(t)) % m
-        frac = t - np.floor(t)
-        return float((1.0 - frac) * self.values[lo] + frac * self.values[(lo + 1) % m])
+def circle_density(values) -> LineDensity:
+    """Samples p(phi_m) on phi_m = 2*pi*m/M: a line density on the periodic
+    lattice [0, 2*pi)."""
+    values = np.asarray(values, dtype=float)
+    return LineDensity(GridSpec(values.size, 0.0, 2.0 * np.pi), values)
 
 
 @dataclass(frozen=True)

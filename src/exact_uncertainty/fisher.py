@@ -16,7 +16,6 @@ import numpy as np
 
 from .densities import (
     MASKED_MASS_LIMIT,
-    CircleDensity,
     DiscreteDistribution,
     LineDensity,
     PlaneDensity,
@@ -79,11 +78,6 @@ def _information(p: np.ndarray, dp_dx: np.ndarray, weight: float, mask: np.ndarr
     return float(np.sum(integrand[mask]) * weight)
 
 
-def periodic_central_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Central differences with periodic wrap (local stencil, no Gibbs)."""
-    return (np.roll(values, -1) - np.roll(values, 1)) / (2.0 * h)
-
-
 def _jump_detected(info_spectral: float, info_local: float) -> bool:
     return info_spectral > info_local / DISCONTINUITY_RATIO ** 2
 
@@ -107,53 +101,46 @@ def fisher_length(density: LineDensity) -> FisherMetrics:
         info_fd = max(_information(p, local_derivative(p, dx), dx, mask), 1e-300)
         return FisherMetrics(info_fd ** -0.5, info_fd, FINITE, masked_mass)
 
-    dp = np.real(spectral_derivative(p, density.grid))
+    dp = real_derivative_axis(p, density.grid, axis=0)
     return _spectral_metrics(p, dp, density.grid, mask, masked_mass)
 
 
-def _spectral_metrics(p: np.ndarray, dp: np.ndarray, grid: GridSpec, mask: np.ndarray,
-                      masked_mass: float) -> FisherMetrics:
-    """Fisher metrics of a normalized line density from its spectral
-    derivative, diagnosed against local differences."""
-    info = max(_information(p, dp, grid.dx, mask), 1e-300)
-    # near-flat densities carry ~no information; the derivative samples are
-    # rounding noise and no diagnosis beyond "finite but huge" is possible
-    if info * grid.length ** 2 < UNIFORMITY_FLOOR:
-        return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
-
-    info_fd = max(_information(p, local_derivative(p, grid.dx), grid.dx, mask), 1e-300)
-    if _jump_detected(info, info_fd):
-        return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY, masked_mass)
-    return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
-
-
-def fisher_length_periodic(density: CircleDensity) -> FisherMetrics:
-    """Fisher length of a circle density (period 2*pi).
+def fisher_length_periodic(density: LineDensity) -> FisherMetrics:
+    """Fisher length of a circle density (``circle_density``), whose lattice
+    is genuinely periodic: the spectral derivative is exact there.
 
     A uniform density has no information at all and is flagged infinite
     rather than encoded as a float sentinel.
     """
     density = density.normalized()
-    p = density.values
-    dphi = density.dphi
-    mask = density.mask()
-    masked_mass = float(np.sum(p[~mask]) * dphi)
+    dp = real_derivative_axis(density.values, density.grid, axis=0)
+    return _spectral_metrics(density.values, dp, density.grid, density.mask(),
+                             density.masked_mass(), periodic=True)
 
-    # circle grids are genuinely periodic: spectral differentiation is exact
-    m = density.n_points
-    k = np.fft.fftfreq(m, d=1.0 / m)  # integer harmonics
-    dp = np.real(np.fft.ifft(1j * k * np.fft.fft(p)))
-    info = _information(p, dp, dphi, mask, periodic=True)
-    if info * (2.0 * np.pi) ** 2 < UNIFORMITY_FLOOR:
-        return FisherMetrics(np.inf, info, INFINITE_BY_UNIFORMITY, masked_mass)
 
-    info_fd = max(_information(p, periodic_central_difference(p, dphi), dphi, mask,
-                               periodic=True), 1e-300)
-    # circle densities are trigonometric polynomials sampled at >= 8 points
-    # per harmonic, so an O(max) swing between adjacent cells can only be a
-    # jump, never under-resolved smooth structure
-    cell_swing = float(np.max(np.abs(np.diff(p, append=p[0])))) / p.max()
-    if _jump_detected(info, info_fd) or cell_swing > 0.25:
+def _spectral_metrics(p: np.ndarray, dp: np.ndarray, grid: GridSpec, mask: np.ndarray,
+                      masked_mass: float, periodic: bool = False) -> FisherMetrics:
+    """Fisher metrics of a normalized line or circle density from its spectral
+    derivative, diagnosed against local differences (wrapped on a circle)."""
+    info = max(_information(p, dp, grid.dx, mask, periodic), 1e-300)
+    # near-flat densities carry ~no information; the derivative samples are
+    # rounding noise and no diagnosis beyond "finite but huge" is possible on
+    # a line, while on a circle the density is uniform: no information at all
+    if info * grid.length ** 2 < UNIFORMITY_FLOOR:
+        if periodic:
+            return FisherMetrics(np.inf, info, INFINITE_BY_UNIFORMITY, masked_mass)
+        return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
+
+    local = ((np.roll(p, -1) - np.roll(p, 1)) / (2.0 * grid.dx) if periodic
+             else local_derivative(p, grid.dx))
+    info_fd = max(_information(p, local, grid.dx, mask, periodic), 1e-300)
+    jump = _jump_detected(info, info_fd)
+    if periodic:
+        # circle densities are trigonometric polynomials sampled at >= 8
+        # points per harmonic, so an O(max) swing between adjacent cells can
+        # only be a jump, never under-resolved smooth structure
+        jump = jump or float(np.max(np.abs(np.diff(p, append=p[0])))) / p.max() > 0.25
+    if jump:
         return FisherMetrics(info_fd ** -0.5, info_fd, ZERO_BY_DISCONTINUITY, masked_mass)
     return FisherMetrics(info ** -0.5, info, FINITE, masked_mass)
 
@@ -180,18 +167,17 @@ def fisher_length_mixed(state: MixedState) -> FisherMetrics:
     return _spectral_metrics(p, dp, grid, mask, masked_mass)
 
 
-def phase_variance(density: CircleDensity, theta: float) -> float:
-    """Variance of the angle about theta, integrated over (theta-pi, theta+pi]."""
+def phase_variance(density: LineDensity, theta: float) -> float:
+    """Variance of the angle about theta, integrated over (theta-pi, theta+pi],
+    for a circle density."""
     density = density.normalized()
-    phi = density.angles()
-    d = np.mod(phi - theta + np.pi, 2.0 * np.pi) - np.pi
-    return float(np.sum(d ** 2 * density.values) * density.dphi)
+    d = np.mod(density.grid.points() - theta + np.pi, 2.0 * np.pi) - np.pi
+    return float(np.sum(d ** 2 * density.values) * density.grid.dx)
 
 
-def circular_mean(density: CircleDensity) -> float:
+def circular_mean(density: LineDensity) -> float:
     density = density.normalized()
-    phi = density.angles()
-    z = np.sum(np.exp(1j * phi) * density.values) * density.dphi
+    z = np.sum(np.exp(1j * density.grid.points()) * density.values) * density.grid.dx
     return float(np.angle(z) % (2.0 * np.pi))
 
 
@@ -199,8 +185,6 @@ def entropy(density) -> float:
     """Differential entropy -integral p ln p under the density's measure."""
     if isinstance(density, LineDensity):
         w, p = density.grid.dx, density.normalized().values
-    elif isinstance(density, CircleDensity):
-        w, p = density.dphi, density.normalized().values
     elif isinstance(density, PlaneDensity):
         w, p = density.measure, density.normalized().values
     elif isinstance(density, DiscreteDistribution):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .decomposition import classical_estimate
-from .densities import CircleDensity, LineDensity, floor_mask
+from .densities import LineDensity, circle_density, floor_mask
 from .errors import VanishingDensity
 from .fisher import (
     FINITE,
@@ -36,8 +36,8 @@ from .states import (
     embed_in_larger_box,
     ensemble_sum,
     family,
-    moment,
     momentum_density,
+    moments,
     to_momentum,
     variance,
 )
@@ -147,9 +147,16 @@ def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
     return refined
 
 
+def _line_measurement(state: GridPureState):
+    """(Fisher metrics of |psi|^2, P_cl, Var X, Var P) of a pure line state:
+    the measurement behind the xp and time-frequency reports."""
+    fm = fisher_length(LineDensity(state.grid, state.position_density()))
+    return (fm, classical_estimate(state, "position", "P"), variance(state, "X"),
+            variance(state, "P"))
+
+
 def _verify_pure_grid(state: GridPureState, conjugate: bool, tol: float) -> RelationReport:
     hbar = state.constants.hbar
-    grid = state.grid
     if conjugate:
         # literal mirror: the momentum lattice must resolve the momentum
         # density's structure (interference oscillations have period
@@ -157,28 +164,22 @@ def _verify_pure_grid(state: GridPureState, conjugate: bool, tol: float) -> Rela
         # of the position side
         rel_id = "conjugate"
         working = to_momentum(state)
-        dens = LineDensity(working.grid, np.abs(working.amplitudes) ** 2)
-        fm = fisher_length(dens)
+        fm = fisher_length(LineDensity(working.grid, np.abs(working.amplitudes) ** 2))
         comp = classical_estimate(state, "momentum", "X")
-        var_b = variance(state, "X")
-        partner_total = np.sqrt(variance(state, "X"))
+        var_x, var_p = variance(state, "X"), variance(state, "P")
+        var_b = var_x
     else:
         rel_id = "xp"
-        dens = LineDensity(grid, state.position_density())
-        fm = fisher_length(dens)
-        comp = classical_estimate(state, "position", "P")
-        var_b = variance(state, "P")
-        partner_total = np.sqrt(variance(state, "P"))
+        fm, comp, var_x, var_p = _line_measurement(state)
+        var_b = var_p
 
     var_nc = var_b - comp.variance
     delta_nc = float(np.sqrt(max(var_nc, 0.0)))
     notes = _grid_notes(state, fm, comp)
     notes["nonclassical_spread"] = delta_nc
-    notes["total_spread"] = float(partner_total)
+    notes["total_spread"] = float(np.sqrt(var_b))
 
-    dx_var = variance(state, "X")
-    dp_var = variance(state, "P")
-    heis = float(np.sqrt(dx_var * dp_var))
+    heis = float(np.sqrt(var_x * var_p))
     notes["heisenberg_product"] = heis
     notes["heisenberg_satisfied"] = bool(heis >= 0.5 * hbar * (1 - tol))
 
@@ -204,8 +205,8 @@ def _verify_mixed_grid(state: MixedState, conjugate: bool, tol: float) -> Relati
         rel_id = "xp-mixed"
         fm = fisher_length_mixed(state)
         comp = classical_estimate(state, "position", "P")
-        p_second = moment(state, "P", 2)
-        var_b = p_second - moment(state, "P", 1) ** 2
+        p_mean, p_second = moments(state, "P")
+        var_b = p_second - p_mean ** 2
     delta_nc = float(np.sqrt(max(var_b - comp.variance, 0.0)))
 
     notes = _grid_notes(state, fm, comp)
@@ -283,7 +284,7 @@ def verify_phase_number(state, tol: float = TOL_FOCK) -> RelationReport:
 def _verify_circle(state, observable: str, target: float, rel_id: str,
                    tol: float, heis_scale: float) -> RelationReport:
     m = state.default_phase_points()
-    dens = CircleDensity(state.phase_density(m))
+    dens = circle_density(state.phase_density(m))
     fm = fisher_length_periodic(dens)
     comp = classical_estimate(state, "phase", observable)
     var_b = variance(state, observable)
@@ -292,12 +293,13 @@ def _verify_circle(state, observable: str, target: float, rel_id: str,
     delta_nc = float(np.sqrt(var_nc))
 
     # quadrature-resolution study: same quantities on the doubled phase grid
-    dens2 = CircleDensity(state.phase_density(2 * m))
-    fm2 = fisher_length_periodic(dens2)
+    fm2 = fisher_length_periodic(circle_density(state.phase_density(2 * m)))
 
     theta = circular_mean(dens)
     var_theta = phase_variance(dens, theta)
-    opposite = dens.normalized().value_at(theta + np.pi)
+    normalized = dens.normalized()
+    opposite = np.interp(theta + np.pi, normalized.grid.points(), normalized.values,
+                         period=2.0 * np.pi)
     corollary_rhs = abs(1.0 - 2.0 * np.pi * opposite) * heis_scale
     corollary_lhs = float(np.sqrt(var_theta * var_b))
 

@@ -4,6 +4,11 @@ A normalized complex signal a(t) decomposes its frequency content into the
 instantaneous frequency f_inst(t) = (2*pi)^-1 d(arg a)/dt plus a fluctuation
 whose strength pairs with the Fisher time delta_t in the exact relation
 Delta_f_fluc * delta_t = (4*pi)^-1.
+
+This is the position-momentum relation again: read as a wavefunction of t
+at hbar = 1/(2*pi) (``SignalRecord.as_state``), a(t) has momentum P = f, and
+f_inst is the classical component P_cl = hbar Im[a* a'] / |a|^2.  The report
+reads the xp report's measurement of that state.
 """
 
 from __future__ import annotations
@@ -12,21 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import MASKED_MASS_LIMIT, LineDensity, floor_mask
-from .errors import ParseError, VanishingDensity
-from .fisher import ZERO_BY_DISCONTINUITY, fisher_length
-from .grids import GridSpec, spectral_derivative
-from .relations import FLAGGED, RelationReport, _equality_verdict
+from .decomposition import classical_estimate
+from .errors import ParseError
+from .fisher import ZERO_BY_DISCONTINUITY
+from .grids import GridSpec
+from .relations import FLAGGED, RelationReport, _equality_verdict, _line_measurement
+from .states import Constants, GridPureState
 
 
 @dataclass(frozen=True)
 class SignalRecord:
     """Uniformly sampled complex amplitude with unit energy integral |a|^2 dt.
 
-    The frequency representation uses A(f) = integral a(t) e^{+2 pi i f t} dt
-    as displayed; only even moments of |A|^2 enter the relations, so the
-    mirrored frequency axis this implies is harmless and documented here
-    once.
+    The displayed frequency representation uses A(f) = integral a(t)
+    e^{+2 pi i f t} dt, the mirror image of the momentum density of
+    ``as_state``; the relation reads only the frequency variance, on which
+    the two agree.
     """
 
     grid: GridSpec  # time axis
@@ -44,10 +50,16 @@ class SignalRecord:
         values = np.asarray(values, dtype=complex)
         if times.size < 8:
             raise ParseError("need at least 8 samples")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ParseError("signal samples must be finite")
         dt = np.diff(times)
-        if np.max(np.abs(dt - dt[0])) > 1e-9 * abs(dt[0]):
-            raise ParseError("samples must be uniform in time")
-        grid = GridSpec(times.size, float(times[0]), float(times[0] + dt[0] * times.size))
+        # written so that a NaN fails the test
+        if not (dt[0] > 0.0 and np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]):
+            raise ParseError("sample times must be strictly increasing and uniform")
+        try:
+            grid = GridSpec(times.size, float(times[0]), float(times[0] + dt[0] * times.size))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         norm = np.sum(np.abs(values) ** 2) * dt[0]
         if norm < 1e-30:
             raise ParseError("signal has zero energy")
@@ -57,11 +69,10 @@ class SignalRecord:
     def dt(self) -> float:
         return self.grid.dx
 
-    def times(self) -> np.ndarray:
-        return self.grid.points()
-
-    def envelope_density(self) -> LineDensity:
-        return LineDensity(self.grid, np.abs(self.amplitudes) ** 2)
+    def as_state(self) -> GridPureState:
+        """The signal as a wavefunction of t at hbar = 1/(2*pi), whose momentum
+        is the frequency f."""
+        return GridPureState(self.grid, self.amplitudes, Constants(hbar=1.0 / (2.0 * np.pi)))
 
     def frequency_representation(self) -> tuple[np.ndarray, np.ndarray]:
         """(f lattice sorted, A(f)) under the e^{+2 pi i f t} convention."""
@@ -91,41 +102,14 @@ def signal_from_rows(rows) -> SignalRecord:
 
 
 def instantaneous_frequency(signal: SignalRecord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, f_inst(t), retained mask) via Im[a* a'] / (2 pi |a|^2).
+    """(times, f_inst(t), retained mask): f_inst is P_cl of ``signal.as_state()``,
+    Im[a* a'] / (2 pi |a|^2).
 
     Branch-free: no phase unwrapping.  Points where |a|^2 is negligible are
     masked; a VanishingDensity error means the mask ate > 20% of the energy.
     """
-    a = signal.amplitudes
-    da = spectral_derivative(a, signal.grid)
-    dens = np.abs(a) ** 2
-    mask = floor_mask(dens)
-    if np.sum(dens[~mask]) * signal.dt > MASKED_MASS_LIMIT:
-        raise VanishingDensity("signal envelope vanishes on > 20% of energy")
-    values = np.zeros(signal.grid.n_points)
-    values[mask] = np.imag(np.conj(a[mask]) * da[mask]) / (2.0 * np.pi * dens[mask])
-    return signal.times(), values, mask
-
-
-def frequency_moments(signal: SignalRecord) -> tuple[float, float]:
-    """(mean, variance) of the spectral density |A(f)|^2."""
-    f, spec = signal.frequency_representation()
-    dens = np.abs(spec) ** 2
-    df = f[1] - f[0]
-    total = np.sum(dens) * df
-    mean = float(np.sum(f * dens) * df / total)
-    second = float(np.sum(f ** 2 * dens) * df / total)
-    return mean, second - mean ** 2
-
-
-def instantaneous_moments(signal: SignalRecord) -> tuple[float, float]:
-    """(mean, variance) of f_inst over the envelope density."""
-    _, values, mask = instantaneous_frequency(signal)
-    dens = np.abs(signal.amplitudes) ** 2
-    w = dens * signal.dt
-    mean = float(np.sum(w[mask] * values[mask]))
-    second = float(np.sum(w[mask] * values[mask] ** 2))
-    return mean, second - mean ** 2
+    comp = classical_estimate(signal.as_state(), "position", "P")
+    return comp.labels, comp.values, comp.mask
 
 
 def verify_time_frequency(signal: SignalRecord, tol: float = 1e-6) -> RelationReport:
@@ -135,10 +119,8 @@ def verify_time_frequency(signal: SignalRecord, tol: float = 1e-6) -> RelationRe
     under refinement, with the spectral variance divergent), mirroring the
     position-momentum verifier.
     """
-    dens = signal.envelope_density()
-    fm = fisher_length(dens)
-    _, var_f = frequency_moments(signal)
-    _, var_inst = instantaneous_moments(signal)
+    fm, comp, var_t, var_f = _line_measurement(signal.as_state())
+    var_inst = comp.variance
     fluc = float(np.sqrt(max(var_f - var_inst, 0.0)))
     target = 1.0 / (4.0 * np.pi)
 
@@ -149,8 +131,7 @@ def verify_time_frequency(signal: SignalRecord, tol: float = 1e-6) -> RelationRe
         "fisher_flag": fm.divergence_flag,
         "var_frequency": var_f,
         "var_instantaneous": var_inst,
-        "heisenberg_product": float(np.sqrt(var_f) * np.sqrt(
-            max(_time_variance(signal), 0.0))),
+        "heisenberg_product": float(np.sqrt(var_f) * np.sqrt(max(var_t, 0.0))),
         "warnings": [],
     }
     notes["heisenberg_satisfied"] = bool(notes["heisenberg_product"] >= target * (1 - tol))
@@ -162,14 +143,6 @@ def verify_time_frequency(signal: SignalRecord, tol: float = 1e-6) -> RelationRe
     left = fm.fisher_length * fluc
     residual, verdict = _equality_verdict(left, target, tol)
     return RelationReport("time-frequency", left, target, residual, tol, verdict, notes)
-
-
-def _time_variance(signal: SignalRecord) -> float:
-    t = signal.times()
-    dens = np.abs(signal.amplitudes) ** 2
-    w = dens * signal.dt
-    mean = float(np.sum(w * t))
-    return float(np.sum(w * t ** 2)) - mean ** 2
 
 
 def gaussian_pulse(grid: GridSpec, width: float, center: float = 0.0,

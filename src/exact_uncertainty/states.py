@@ -462,26 +462,32 @@ def moment(state, observable: str, k: int = 1) -> float:
     """<B^k> for B in {X, P, J, N}, k = 1 or 2, via the natural quadrature."""
     if k not in (1, 2):
         raise ValueError("only first and second moments are supported")
+    return moments(state, observable)[k - 1]
+
+
+def moments(state, observable: str) -> tuple[float, float]:
+    """(<B>, <B^2>) from one quadrature of each pure state: one
+    ``momentum_density`` per member for P."""
     if isinstance(state, MixedState):
-        return float(ensemble_sum(state, lambda s: moment(s, observable, k)))
+        return tuple(float(m) for m in ensemble_sum(
+            state, lambda s: np.array(moments(s, observable))))
     if observable == "X" and isinstance(state, GridPureState):
-        x = state.grid.points()
-        p = state.position_density()
-        return float(np.sum(x ** k * p) * state.grid.dx)
-    if observable == "P" and isinstance(state, GridPureState):
-        p, dens = momentum_density(state)
-        dp = state.grid.momentum_spacing(state.constants.hbar)
-        return float(np.sum(p ** k * dens) * dp)
-    if observable == "J" and isinstance(state, PeriodicState):
-        jv = state.constants.hbar * state.j_values
-        return float(np.sum(jv ** k * np.abs(state.amplitudes) ** 2))
-    if observable == "N" and isinstance(state, FockState):
-        return float(np.sum(state.n_values ** k * np.abs(state.amplitudes) ** 2))
-    raise UnsupportedObservable(f"{observable!r} is not defined for {type(state).__name__}")
+        b, dens, measure = state.grid.points(), state.position_density(), state.grid.dx
+    elif observable == "P" and isinstance(state, GridPureState):
+        b, dens = momentum_density(state)
+        measure = state.grid.momentum_spacing(state.constants.hbar)
+    elif observable == "J" and isinstance(state, PeriodicState):
+        b, dens, measure = state.constants.hbar * state.j_values, np.abs(state.amplitudes) ** 2, 1.0
+    elif observable == "N" and isinstance(state, FockState):
+        b, dens, measure = state.n_values, np.abs(state.amplitudes) ** 2, 1.0
+    else:
+        raise UnsupportedObservable(f"{observable!r} is not defined for {type(state).__name__}")
+    return tuple(float(np.sum(b ** k * dens) * measure) for k in (1, 2))
 
 
 def variance(state, observable: str) -> float:
-    return moment(state, observable, 2) - moment(state, observable, 1) ** 2
+    mean, second = moments(state, observable)
+    return second - mean ** 2
 
 
 def evolve_step(state, potential, dt: float):

@@ -138,6 +138,27 @@ def test_signal_csv_ingestion(tmp_path):
     assert doc["report"]["verdict"] == "equality"
 
 
+@pytest.mark.parametrize("bad", ["nan-time", "constant-time", "decreasing-time", "inf-amplitude",
+                                 "odd-count"])
+def test_bad_signal_csv_exits_two(tmp_path, bad):
+    t = np.linspace(-4, 4, 63 if bad == "odd-count" else 64, endpoint=False)
+    a = np.exp(-t ** 2).astype(complex)
+    if bad == "nan-time":
+        t[10] = np.nan
+    elif bad == "constant-time":
+        t[:] = 1.0
+    elif bad == "decreasing-time":
+        t = -t
+    elif bad == "inf-amplitude":
+        a[20] = np.inf
+    csv_path = tmp_path / "sig.csv"
+    rows = ["t,re,im"] + [f"{ti},{ai.real},{ai.imag}" for ti, ai in zip(t, a)]
+    csv_path.write_text("\n".join(rows))
+    code, doc = run(["signal", str(csv_path)], tmp_path / "s.json")
+    assert code == 2
+    assert doc["kind"] == "parse"
+
+
 def test_diffusion_rate(tmp_path):
     code, doc = run(["diffusion", "--gamma", "0.001", "--steps", "8"], tmp_path / "d.json")
     assert code == 0

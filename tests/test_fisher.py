@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exact_uncertainty.densities import (
-    CircleDensity,
     DiscreteDistribution,
     LineDensity,
     PlaneDensity,
+    circle_density,
 )
 from exact_uncertainty.fisher import (
+    DISCONTINUITY_RATIO,
     FINITE,
+    UNIFORMITY_FLOOR,
     INFINITE_BY_UNIFORMITY,
     ZERO_BY_DISCONTINUITY,
     circular_mean,
@@ -22,8 +24,16 @@ from exact_uncertainty.fisher import (
     fisher_length_periodic,
     phase_variance,
 )
+from exact_uncertainty.fisher import _information
 from exact_uncertainty.grids import GridSpec
-from exact_uncertainty.states import GridMixedState, GridPureState, gaussian_state, normalize
+from exact_uncertainty.random_states import random_fock_state, random_periodic_state
+from exact_uncertainty.states import (
+    GridMixedState,
+    GridPureState,
+    PeriodicState,
+    gaussian_state,
+    normalize,
+)
 
 
 def line_gaussian(grid, sigma, center=0.0):
@@ -109,18 +119,18 @@ class TestCramerRao:
 
 class TestPeriodic:
     def test_uniform_is_infinite(self):
-        fm = fisher_length_periodic(CircleDensity(np.full(512, 1 / (2 * np.pi))))
+        fm = fisher_length_periodic(circle_density(np.full(512, 1 / (2 * np.pi))))
         assert fm.divergence_flag == INFINITE_BY_UNIFORMITY
         assert np.isinf(fm.fisher_length)
 
     def test_von_mises_finite_and_bounded_by_variance(self):
         phi = 2 * np.pi * np.arange(2048) / 2048
-        dens = CircleDensity(np.exp(3.0 * np.cos(phi - 1.0))).normalized()
+        dens = circle_density(np.exp(3.0 * np.cos(phi - 1.0))).normalized()
         fm = fisher_length_periodic(dens)
         assert fm.divergence_flag == FINITE
         theta = circular_mean(dens)
         spread = np.sqrt(phase_variance(dens, theta))
-        opposite = dens.value_at(theta + np.pi)
+        opposite = np.interp(theta + np.pi, dens.grid.points(), dens.values, period=2 * np.pi)
         assert spread >= abs(1 - 2 * np.pi * opposite) * fm.fisher_length - 1e-12
 
     def test_truncated_gaussian_near_equality(self):
@@ -129,21 +139,68 @@ class TestPeriodic:
         theta = np.pi
         phi = 2 * np.pi * np.arange(4096) / 4096
         d = np.mod(phi - theta + np.pi, 2 * np.pi) - np.pi
-        dens = CircleDensity(np.exp(-d ** 2 / (2 * 0.5 ** 2))).normalized()
+        dens = circle_density(np.exp(-d ** 2 / (2 * 0.5 ** 2))).normalized()
         fm = fisher_length_periodic(dens)
         spread = np.sqrt(phase_variance(dens, theta))
-        opposite = dens.value_at(theta + np.pi)
+        opposite = np.interp(theta + np.pi, dens.grid.points(), dens.values, period=2 * np.pi)
         lhs = spread
         rhs = abs(1 - 2 * np.pi * opposite) * fm.fisher_length
         assert lhs >= rhs - 1e-12
         assert (lhs - rhs) / lhs < 1e-3
 
 
+def circle_reference(values):
+    """(flag, information) of a circle density by the circle's own formula:
+    the complex derivative on integer harmonics, the wrapped central
+    difference and the cell-swing jump rule."""
+    m = values.size
+    dphi = 2 * np.pi / m
+    p = values / (np.sum(values) * dphi)
+    mask = p > 1e-12 * p.max()
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    info = _information(p, np.real(np.fft.ifft(1j * k * np.fft.fft(p))), dphi, mask,
+                        periodic=True)
+    if info * (2 * np.pi) ** 2 < UNIFORMITY_FLOOR:
+        return INFINITE_BY_UNIFORMITY, info
+    wrapped = (np.roll(p, -1) - np.roll(p, 1)) / (2 * dphi)
+    info_fd = _information(p, wrapped, dphi, mask, periodic=True)
+    swing = np.max(np.abs(np.diff(p, append=p[0]))) / p.max()
+    if info > info_fd / DISCONTINUITY_RATIO ** 2 or swing > 0.25:
+        return ZERO_BY_DISCONTINUITY, info_fd
+    return FINITE, info
+
+
+class TestCircleCore:
+    def densities(self):
+        rng = np.random.default_rng(18)
+        for _ in range(15):
+            yield random_periodic_state(rng).phase_density()
+            yield random_fock_state(rng).phase_density()
+            # a few random harmonics: interference zeros and small swings
+            amps = rng.normal(size=13) + 1j * rng.normal(size=13)
+            yield normalize(PeriodicState(-6, 6, amps)).phase_density()
+        yield np.full(1024, 1 / (2 * np.pi))
+        phi = 2 * np.pi * np.arange(1024) / 1024
+        yield np.where(phi < np.pi, 1.0, 0.2)
+
+    def test_matches_circle_formula(self):
+        flags = []
+        for values in self.densities():
+            flag, info = circle_reference(values)
+            fm = fisher_length_periodic(circle_density(values))
+            assert fm.divergence_flag == flag
+            if flag != INFINITE_BY_UNIFORMITY:
+                assert fm.fisher_information == pytest.approx(info, rel=1e-13, abs=0)
+            flags.append(flag)
+        assert flags.count(FINITE) >= 40
+        assert flags[-2:] == [INFINITE_BY_UNIFORMITY, ZERO_BY_DISCONTINUITY]
+
+
 class TestPhaseVariance:
     def test_uniform_value(self):
         # the wrapped quadratic has a kink at the antipode, so the Riemann
         # quadrature converges at O(dphi^2); 4096 points put it below 1e-6
-        dens = CircleDensity(np.full(4096, 1 / (2 * np.pi)))
+        dens = circle_density(np.full(4096, 1 / (2 * np.pi)))
         for theta in (0.0, 1.0, 4.0):
             assert phase_variance(dens, theta) == pytest.approx(np.pi ** 2 / 3, rel=1e-6)
 
@@ -154,14 +211,14 @@ class TestPhaseVariance:
         values = []
         for w in widths:
             d = np.mod(phi - theta + np.pi, 2 * np.pi) - np.pi
-            dens = CircleDensity(np.exp(-d ** 2 / (2 * w ** 2))).normalized()
+            dens = circle_density(np.exp(-d ** 2 / (2 * w ** 2))).normalized()
             values.append(phase_variance(dens, theta))
         assert values[0] > values[1] > values[2]
         assert values[2] == pytest.approx(0.05 ** 2, rel=1e-3)
 
     def test_bounded_by_pi_squared(self, rng):
         p = rng.uniform(0.1, 1.0, size=512)
-        dens = CircleDensity(p).normalized()
+        dens = circle_density(p).normalized()
         assert phase_variance(dens, float(rng.uniform(0, 2 * np.pi))) <= np.pi ** 2 + 1e-12
 
 

@@ -90,6 +90,21 @@ class TestPositionMomentum:
         assert report.notes["fisher_length"] == pytest.approx(sigma, rel=1e-9)
         assert report.notes["nonclassical_spread"] == pytest.approx(0.5 / sigma, rel=1e-9)
 
+    @pytest.mark.parametrize("relation", ["xp", "time-frequency"])
+    def test_one_momentum_transform_per_report(self, monkeypatch, grid, relation):
+        # the line measurement reads Var P from one momentum density
+        from exact_uncertainty import states
+        from exact_uncertainty.signals import gaussian_pulse, verify_time_frequency
+
+        transform, calls = states.to_momentum, []
+        monkeypatch.setattr(states, "to_momentum", lambda s: calls.append(s) or transform(s))
+        if relation == "xp":
+            verify_position_momentum(gaussian_state(grid, 1.2, momentum=0.7))
+        else:
+            verify_time_frequency(gaussian_pulse(GridSpec(1024, -10.0, 10.0), width=0.8,
+                                                 carrier=1.2, chirp=0.6))
+        assert len(calls) == 1
+
     def test_mixture_exceeds_bound(self, grid):
         mix = GridMixedState.from_ensemble([
             (0.5, gaussian_state(grid, 1.0, center=-3.0)),

@@ -7,7 +7,6 @@ from exact_uncertainty.grids import GridSpec
 from exact_uncertainty.relations import EQUALITY, FLAGGED
 from exact_uncertainty.signals import (
     SignalRecord,
-    frequency_moments,
     gaussian_pulse,
     instantaneous_frequency,
     signal_from_rows,
@@ -77,6 +76,19 @@ class TestExactRelation:
         increments = np.diff(variances)
         assert increments[1] / increments[0] == pytest.approx(2.0, rel=0.2)
 
+    def test_off_centre_time_grid(self):
+        # every other signal here lies on a grid centred at t = 0
+        w, kappa = 0.8, 0.6
+        sig = gaussian_pulse(GridSpec(1024, 3.0, 23.0), width=w, center=13.0, carrier=1.2,
+                             chirp=kappa)
+        report = verify_time_frequency(sig)
+        assert report.verdict == EQUALITY
+        assert report.notes["fisher_time"] == pytest.approx(w, rel=1e-9)
+        assert report.notes["var_instantaneous"] == pytest.approx((kappa * w / np.pi) ** 2,
+                                                                  rel=1e-9)
+        assert report.notes["var_frequency"] == pytest.approx(
+            1.0 / (4 * np.pi * w) ** 2 + (kappa * w / np.pi) ** 2, rel=1e-9)
+
     def test_mapping_to_position_momentum(self, rng, tgrid):
         # the same samples as a wavefunction with hbar = 1/(2 pi) must give
         # the same relation values
@@ -110,7 +122,9 @@ class TestExactRelation:
         f, spec = sig.frequency_representation()
         peak = f[np.argmax(np.abs(spec))]
         assert peak == pytest.approx(-f0, abs=2 * (f[1] - f[0]))
-        mean, var = frequency_moments(sig)
+        dens = np.abs(spec) ** 2 / (np.sum(np.abs(spec) ** 2) * (f[1] - f[0]))
+        mean = np.sum(f * dens) * (f[1] - f[0])
+        var = np.sum(f ** 2 * dens) * (f[1] - f[0]) - mean ** 2
         assert mean == pytest.approx(-f0, abs=1e-9)
         assert var == pytest.approx(1.0 / (4 * np.pi * 0.8) ** 2, rel=1e-9)
 
@@ -143,5 +157,23 @@ class TestCsv:
     def test_nonuniform_rejected(self):
         rows = list(self.rows())
         rows[5][0] = "17.0"
+        with pytest.raises(ParseError):
+            signal_from_rows(rows)
+
+    @pytest.mark.parametrize("times", ["decreasing", "constant", "nan", "inf"])
+    def test_bad_times_rejected(self, times):
+        rows = list(self.rows())
+        for i, row in enumerate(rows[1:]):
+            row[0] = {"decreasing": f"{-i * 0.1}", "constant": "1.0"}.get(times, row[0])
+        if times in ("nan", "inf"):
+            rows[7][0] = times
+        with pytest.raises(ParseError):
+            signal_from_rows(rows)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_non_finite_amplitude_rejected(self, value, column):
+        rows = list(self.rows())
+        rows[9][column] = value
         with pytest.raises(ParseError):
             signal_from_rows(rows)
