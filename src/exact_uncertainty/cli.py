@@ -239,12 +239,21 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
     return _report_code(reports), doc
 
 
+# the state family each ``verify --relation`` applies to; a family's first
+# relation here is the one verified when none is given
+RELATION_FAMILY = {"xp": GridPureState, "conjugate": GridPureState,
+                   "phase-angular": PeriodicState, "phase-number": FockState,
+                   "ivanovic": FiniteState}
+
+
 def _verify_one(state, relation: str | None, config: RunConfig) -> RelationReport:
     if relation is None:
-        relation = {GridPureState: "xp", PeriodicState: "phase-angular",
-                    FockState: "phase-number", FiniteState: "ivanovic"}.get(family(state))
+        relation = next((name for name, kind in RELATION_FAMILY.items()
+                         if kind is family(state)), None)
         if relation is None:
             raise ParseError("cannot infer a relation for this state family")
+    if RELATION_FAMILY[relation] is not family(state):
+        raise ParseError(f"relation {relation!r} does not apply to this state")
     if relation == "xp":
         return verify_position_momentum(state, config.tol_grid)
     if relation == "conjugate":
@@ -253,9 +262,7 @@ def _verify_one(state, relation: str | None, config: RunConfig) -> RelationRepor
         return verify_phase_angular(state, config.tol_grid)
     if relation == "phase-number":
         return verify_phase_number(state, config.tol_fock)
-    if relation == "ivanovic" and isinstance(state, FiniteState):
-        return verify_ivanovic(state, mub_construct(state.dimension))
-    raise ParseError(f"relation {relation!r} does not apply to this state")
+    return verify_ivanovic(state, mub_construct(state.dimension))
 
 
 def _run_suite(config: RunConfig, suite: str, n: int) -> list[RelationReport]:
@@ -329,6 +336,8 @@ def cmd_decompose(config: RunConfig, args) -> tuple[int, dict]:
 
 def cmd_wigner(config: RunConfig, args) -> tuple[int, dict]:
     state = _load_state(args.state, config.constants())
+    if family(state) is not GridPureState:
+        raise ParseError("wigner needs a grid state")
     w = wigner_transform(state)
     marginal = w.position_marginal()
     x, pav, mask = wigner_average_momentum(w, marginal)

@@ -119,9 +119,10 @@ def real_derivative_columns(columns, shape: tuple[int, int], grid: GridSpec) -> 
 BLOCK_BYTES = 8 << 20
 
 
-def row_blocks(n_rows: int, n_cols: int):
-    """Slices of consecutive rows whose complex samples fit BLOCK_BYTES."""
-    step = max(1, BLOCK_BYTES // (16 * n_cols))
+def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
+    """Slices of consecutive rows whose complex samples fit ``budget`` bytes
+    (BLOCK_BYTES, read at the call, when None)."""
+    step = max(1, (BLOCK_BYTES if budget is None else budget) // (16 * n_cols))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 

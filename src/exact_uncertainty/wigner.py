@@ -7,9 +7,11 @@ the state, which keeps the first moment of W in p free of O(dx) bias.
 
 Slices are Hermitian in xi, s(x, -xi) = conj s(x, xi), for pure states and
 mixtures, so only the n/2 + 1 offsets xi >= 0 are built, as strided windows
-of the interpolated members, and one real-output transform gives the real,
-p-sorted W.  The offset xi = -L/2 has no partner on the lattice and is W's
-only imaginary part in exact arithmetic: ``imaginary_residue`` is
+of the interpolated members, and a real-output transform of each row gives
+the real, p-sorted W.  The slices are formed and transformed one
+cache-sized block of x-rows at a time, straight into W, so W is the only
+full-size array.  The offset xi = -L/2 has no partner on the lattice and is
+W's only imaginary part in exact arithmetic: ``imaginary_residue`` is
 (dx / 2 pi hbar) max |Im s(x, L/2)|.
 """
 
@@ -21,8 +23,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .densities import masked_ratio
-from .grids import GridSpec, fourier_interpolate
-from .states import GridPureState, ensemble_sum, family
+from .grids import GridSpec, fourier_interpolate, row_blocks
+from .states import GridPureState, MixedState, family
+
+# byte budget of one complex block of slice rows: L2-sized, so a block's
+# slices are still in cache when its rows are transformed (63 rows at n = 1024)
+SLICE_BLOCK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,14 @@ class WignerGrid:
 
 
 def wigner_transform(state) -> WignerGrid:
-    """Wigner function of a grid pure state or mixture (one transform either way)."""
+    """Wigner function of a grid pure state or mixture.
+
+    W is built one block of SLICE_BLOCK_BYTES of x-rows at a time: the
+    block's slices, summed over the members in ``ensemble_sum``'s order, go
+    through one ``irfft`` into W's rows.  Each row is computed by the same
+    operations as a whole-array build, so the values do not depend on the
+    block size.
+    """
     if family(state) is not GridPureState:
         raise TypeError("wigner_transform needs a grid state")
 
@@ -63,22 +76,42 @@ def wigner_transform(state) -> WignerGrid:
     def windows(fine):  # row k holds fine[k - n/2 .. k], wrapped
         return sliding_window_view(np.concatenate([fine[-half:], fine, fine[:half]]), half + 1)
 
-    def member_slices(member):
+    def member_windows(member):
         # (-1)^o conj s(x_i, o dx) = (-1)^(2i+o) conj psi(x_i + o dx/2) psi(x_i - o dx/2)
-        # for o = 0..n/2; the sign sorts W in p (the p lattice starts at -n/2 dp)
+        # for o = 0..n/2 is the product of these two windows, row by row; the
+        # sign sorts W in p (the p lattice starts at -n/2 dp)
         fine = fourier_interpolate(member.amplitudes, 2)
         ahead = np.conj(fine)
         ahead[1::2] *= -1.0
-        return np.multiply(windows(ahead)[half:half + 2 * n:2], windows(fine)[0:2 * n:2, ::-1])
+        return windows(ahead)[half:half + 2 * n:2], windows(fine)[0:2 * n:2, ::-1]
 
-    slices = ensemble_sum(state, member_slices)
+    mixed = isinstance(state, MixedState)
+    views = [member_windows(member) for member in (state.members if mixed else (state,))]
+
+    def slices(rows):
+        if not mixed:
+            (ahead, behind), = views
+            return np.multiply(ahead[rows], behind[rows])
+        total = 0.0
+        for weight, (ahead, behind) in zip(state.weights, views):
+            # the fresh product first, as in ensemble_sum, so numpy reuses it
+            total = total + np.multiply(ahead[rows], behind[rows]) * weight
+        return total
 
     scale = grid.dx / (2.0 * np.pi * hbar)
-    residue = scale * float(np.max(np.abs(slices[:, half].imag)))
-    # hfft(s) is irfft(conj s) without the 1/n; conj s is at hand, so no copy
-    w = np.fft.irfft(slices, n, axis=1, norm="forward")
-    w *= scale
+    w = np.empty((n, n))
 
+    def transform(rows):
+        """Fill W's ``rows``; return the block's max |Im s(x, L/2)|."""
+        block = slices(rows)
+        peak = float(np.max(np.abs(block[:, half].imag)))
+        # hfft(s) is irfft(conj s) without the 1/n; conj s is at hand, so no copy
+        np.fft.irfft(block, n, axis=1, norm="forward", out=w[rows])
+        w[rows] *= scale
+        return peak
+
+    residue = scale * max(transform(rows)
+                          for rows in row_blocks(n, half + 1, budget=SLICE_BLOCK_BYTES))
     pgrid = grid.conjugate_grid(hbar)
     return WignerGrid(grid, pgrid, w, residue, state.box_warning())
 

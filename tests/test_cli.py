@@ -179,6 +179,26 @@ def test_wigner_csv_export(tmp_path):
     assert len(lines) == 129  # header + one row per grid point
 
 
+@pytest.mark.parametrize("state, command", [
+    ("fock", ["verify", "--relation", "xp"]),
+    ("fock", ["verify", "--relation", "conjugate"]),
+    ("fock", ["verify", "--relation", "phase-angular"]),
+    ("grid", ["verify", "--relation", "phase-angular"]),
+    ("grid", ["verify", "--relation", "phase-number"]),
+    ("fock", ["wigner"]),
+])
+def test_relation_outside_state_family_exits_two(tmp_path, state, command):
+    # a relation or transform that does not fit the file's state is bad
+    # input (exit 2), not a relation violation (exit 1)
+    doc = state_to_dict(fock_basis_state(3, 8) if state == "fock"
+                        else gaussian_state(GridSpec(128, -8.0, 8.0), 1.0))
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(doc))
+    code, report = run([command[0], str(state_path), *command[1:]], tmp_path / "out.json")
+    assert code == 2
+    assert report["kind"] == "parse"
+
+
 def test_decompose(tmp_path):
     grid = GridSpec(512, -16.0, 16.0)
     doc = state_to_dict(gaussian_state(grid, 1.0, momentum=1.5))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from exact_uncertainty.decomposition import classical_estimate
 from exact_uncertainty.grids import GridSpec, fourier_interpolate
@@ -11,10 +12,12 @@ from exact_uncertainty.states import (
     GridMixedState,
     GridPureState,
     MixedState,
+    ensemble_sum,
     gaussian_state,
     normalize,
     to_momentum,
 )
+from exact_uncertainty import wigner
 from exact_uncertainty.wigner import (
     position_classical_in_momentum,
     wigner_average_momentum,
@@ -135,6 +138,68 @@ class TestHalfSlices:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * w.values.nbytes
+
+
+def whole_array_reference(state):
+    """W and its imaginary residue from the whole n x (n/2 + 1) array of
+    xi >= 0 slices, summed over the members by ``ensemble_sum`` and turned
+    into W by one ``irfft`` of every row at once."""
+    n, half = state.grid.n_points, state.grid.n_points // 2
+
+    def windows(fine):
+        return sliding_window_view(np.concatenate([fine[-half:], fine, fine[:half]]), half + 1)
+
+    def member_slices(member):
+        fine = fourier_interpolate(member.amplitudes, 2)
+        ahead = np.conj(fine)
+        ahead[1::2] *= -1.0
+        return np.multiply(windows(ahead)[half:half + 2 * n:2], windows(fine)[0:2 * n:2, ::-1])
+
+    slices = ensemble_sum(state, member_slices)
+    scale = state.grid.dx / (2.0 * np.pi * state.constants.hbar)
+    residue = scale * float(np.max(np.abs(slices[:, half].imag)))
+    values = np.fft.irfft(slices, n, axis=1, norm="forward")
+    values *= scale
+    return values, residue
+
+
+class TestRowBlocks:
+    @staticmethod
+    def state(n, kind):
+        grid = GridSpec(n, -20.0, 20.0)
+        rng = np.random.default_rng(n)
+        pure = random_smooth_grid_state(rng, grid)
+        if kind == "pure":
+            return pure
+        return GridMixedState.from_ensemble([(0.45, random_smooth_grid_state(rng, grid)),
+                                             (0.55, pure)])
+
+    # the default budget cuts n = 1000 into blocks of 65 rows and a last one
+    # of 25 and keeps n = 200 whole; 7-row blocks leave a short last block
+    # at both sizes, and the largest budget is one block
+    @pytest.mark.parametrize("kind", ["pure", "rank-2"])
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_equals_whole_array_build(self, n, kind, monkeypatch):
+        state = self.state(n, kind)
+        values, residue = whole_array_reference(state)
+        for budget in (wigner.SLICE_BLOCK_BYTES, 16 * (n // 2 + 1) * 7, 1 << 40):
+            monkeypatch.setattr(wigner, "SLICE_BLOCK_BYTES", budget)
+            w = wigner_transform(state)
+            assert np.array_equal(w.values, values)
+            assert w.imaginary_residue == residue
+
+    @pytest.mark.parametrize("kind", ["pure", "rank-2"])
+    def test_peak_memory_is_w_and_one_block(self, kind):
+        # W (8 MiB at n = 1024) is the only full-size array; the slices of
+        # one row block and the members' windows add well under a quarter
+        state = self.state(1024, kind)
+        tracemalloc.start()
+        try:
+            w = wigner_transform(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * w.values.nbytes
 
 
 class TestAverageMomentum:
