@@ -114,15 +114,26 @@ def real_derivative_columns(columns, shape: tuple[int, int], grid: GridSpec) -> 
     return out
 
 
-# byte budget of one complex row block in the blocked 2D reductions; a
-# 384 x 384 grid is one block, a 5120 x 5120 grid about fifty
+# byte budget of one complex row block in the blocked 2D reductions: 102
+# rows of a 5120 x 5120 grid, which BLOCK_ROWS then caps at 96
 BLOCK_BYTES = 8 << 20
+# row cap of a default block: the temporaries of a 96 x 384 block, about
+# five times its 576 KiB of samples, fit a 4 MiB L2 (a whole 384^2 grid's do not)
+BLOCK_ROWS = 96
 
 
 def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
-    """Slices of consecutive rows whose complex samples fit ``budget`` bytes
-    (BLOCK_BYTES, read at the call, when None)."""
-    step = max(1, (BLOCK_BYTES if budget is None else budget) // (16 * n_cols))
+    """Slices of consecutive rows.
+
+    With ``budget`` None, a block has at most BLOCK_ROWS rows and its
+    complex samples fit BLOCK_BYTES (both read at the call): 4 blocks of a
+    384 x 384 grid, 54 of a 5120 x 5120 one.  A given ``budget`` is a byte
+    budget alone.
+    """
+    if budget is None:
+        step = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (16 * n_cols)))
+    else:
+        step = max(1, budget // (16 * n_cols))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 

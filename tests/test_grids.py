@@ -85,3 +85,25 @@ def test_real_derivative_axis_matches_complex_kernel(axis):
     assert got.dtype == np.float64
     assert got.shape == values.shape
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_row_blocks_rule(monkeypatch):
+    from exact_uncertainty import grids, wigner
+
+    for n in (384, 1536, 5120):
+        blocks = list(grids.row_blocks(n, n))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        for rows in blocks:
+            n_rows = rows.stop - rows.start
+            assert n_rows <= grids.BLOCK_ROWS
+            assert 16 * n_rows * n <= grids.BLOCK_BYTES
+    # the row cap splits a small grid that the byte budget would keep whole
+    assert len(list(grids.row_blocks(384, 384))) > 1
+    # a given budget is a byte budget alone: the Wigner slice rows at n = 1024
+    steps = {rows.stop - rows.start
+             for rows in grids.row_blocks(1024, 513, budget=wigner.SLICE_BLOCK_BYTES)}
+    assert steps == {63, 1024 % 63}
+    # a smaller byte budget still wins under the cap
+    monkeypatch.setattr(grids, "BLOCK_BYTES", 64 << 10)
+    assert {rows.stop - rows.start for rows in grids.row_blocks(1536, 1536)} == {2}
