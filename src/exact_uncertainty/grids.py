@@ -125,15 +125,11 @@ BLOCK_ROWS = 96
 def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
     """Slices of consecutive rows.
 
-    With ``budget`` None, a block has at most BLOCK_ROWS rows and its
-    complex samples fit BLOCK_BYTES (both read at the call): 4 blocks of a
-    384 x 384 grid, 54 of a 5120 x 5120 one.  A given ``budget`` is a byte
-    budget alone.
+    A block has at most BLOCK_ROWS rows and its complex samples fit
+    ``budget`` bytes, BLOCK_BYTES if None (both read at the call): 4 blocks
+    of a 384 x 384 grid, 54 of a 5120 x 5120 one.
     """
-    if budget is None:
-        step = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (16 * n_cols)))
-    else:
-        step = max(1, budget // (16 * n_cols))
+    step = max(1, min(BLOCK_ROWS, (BLOCK_BYTES if budget is None else budget) // (16 * n_cols)))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 

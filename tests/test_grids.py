@@ -100,7 +100,7 @@ def test_row_blocks_rule(monkeypatch):
             assert 16 * n_rows * n <= grids.BLOCK_BYTES
     # the row cap splits a small grid that the byte budget would keep whole
     assert len(list(grids.row_blocks(384, 384))) > 1
-    # a given budget is a byte budget alone: the Wigner slice rows at n = 1024
+    # a given budget replaces BLOCK_BYTES: the Wigner slice rows at n = 1024
     steps = {rows.stop - rows.start
              for rows in grids.row_blocks(1024, 513, budget=wigner.SLICE_BLOCK_BYTES)}
     assert steps == {63, 1024 % 63}

@@ -175,8 +175,9 @@ class TestRowBlocks:
                                              (0.55, pure)])
 
     # the default budget cuts n = 1000 into blocks of 65 rows and a last one
-    # of 25 and keeps n = 200 whole; 7-row blocks leave a short last block
-    # at both sizes, and the largest budget is one block
+    # of 25, and the row cap cuts n = 200 into 96, 96 and 8 rows, as it does
+    # under the largest budget; 7-row blocks leave a short last block at
+    # both sizes
     @pytest.mark.parametrize("kind", ["pure", "rank-2"])
     @pytest.mark.parametrize("n", [200, 1000])
     def test_equals_whole_array_build(self, n, kind, monkeypatch):
