@@ -57,17 +57,15 @@ from .signals import SignalRecord, gaussian_pulse, instantaneous_frequency, veri
 from .states import (
     Constants,
     FiniteState,
-    FockMixedState,
-    FockState,
     Grid2DPureState,
     GridMixedState,
     GridPureState,
     MixedState,
-    PeriodicMixedState,
     PeriodicState,
     ensemble_sum,
     evolve_step,
     fock_basis_state,
+    fock_state,
     gaussian_state,
     moment,
     momentum_density,

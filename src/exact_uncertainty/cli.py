@@ -53,11 +53,7 @@ from .signals import gaussian_pulse, signal_from_rows, verify_time_frequency
 from .states import (
     Constants,
     FiniteState,
-    FockState,
-    GridPureState,
-    PeriodicState,
     _complex_list,
-    family,
     gaussian_state,
     state_from_dict,
 )
@@ -239,20 +235,19 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
     return _report_code(reports), doc
 
 
-# the state family each ``verify --relation`` applies to; a family's first
-# relation here is the one verified when none is given
-RELATION_FAMILY = {"xp": GridPureState, "conjugate": GridPureState,
-                   "phase-angular": PeriodicState, "phase-number": FockState,
-                   "ivanovic": FiniteState}
+# the state-file family each ``verify --relation`` applies to; a family's
+# first relation here is the one verified when none is given
+RELATION_FAMILY = {"xp": "grid", "conjugate": "grid", "phase-angular": "periodic",
+                   "phase-number": "fock", "ivanovic": "finite"}
 
 
 def _verify_one(state, relation: str | None, config: RunConfig) -> RelationReport:
     if relation is None:
         relation = next((name for name, kind in RELATION_FAMILY.items()
-                         if kind is family(state)), None)
+                         if kind == state.family), None)
         if relation is None:
             raise ParseError("cannot infer a relation for this state family")
-    if RELATION_FAMILY[relation] is not family(state):
+    if RELATION_FAMILY[relation] != state.family:
         raise ParseError(f"relation {relation!r} does not apply to this state")
     if relation == "xp":
         return verify_position_momentum(state, config.tol_grid)
@@ -320,7 +315,7 @@ def cmd_decompose(config: RunConfig, args) -> tuple[int, dict]:
     state = _load_state(args.state, config.constants())
     observable = args.observable or {"position": "P", "momentum": "X", "phase": None}[args.basis]
     if observable is None:
-        observable = "J" if family(state) is PeriodicState else "N"
+        observable = "J" if state.family == "periodic" else "N"
     comp = classical_estimate(state, args.basis, observable)
     summary = decomposition_summary(state, args.basis, observable)
     doc = {
@@ -336,7 +331,7 @@ def cmd_decompose(config: RunConfig, args) -> tuple[int, dict]:
 
 def cmd_wigner(config: RunConfig, args) -> tuple[int, dict]:
     state = _load_state(args.state, config.constants())
-    if family(state) is not GridPureState:
+    if state.family != "grid":
         raise ParseError("wigner needs a grid state")
     w = wigner_transform(state)
     marginal = w.position_marginal()

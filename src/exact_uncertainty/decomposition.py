@@ -17,17 +17,15 @@ from functools import partial
 
 import numpy as np
 
-from .densities import floor_mask, masked_ratio
+from .densities import masked_ratio
 from .errors import CutoffTooSmall, UnsupportedObservable
 from .grids import GridSpec, real_derivative_axis, spectral_derivative
 from .states import (
     Constants,
-    FockState,
     GridPureState,
     PeriodicState,
     ensemble_sum,
     evolve_step,
-    family,
     moment,
     moments,
     to_momentum,
@@ -101,17 +99,16 @@ def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent
     (extended-phase, N).
     """
     key = (basis, observable)
-    kind = family(state)
-    if kind is GridPureState and key == ("position", "P"):
+    kind = state.family
+    if kind == "grid" and key == ("position", "P"):
         return _grid_momentum_estimate(state)
-    if kind is GridPureState and key == ("momentum", "X"):
+    if kind == "grid" and key == ("momentum", "X"):
         return _grid_position_estimate(state)
-    if kind is PeriodicState and key == ("phase", "J"):
+    if (kind, *key) in (("periodic", "phase", "J"), ("fock", "phase", "N"),
+                        ("fock", "extended-phase", "N")):
         return _rotator_estimate(state)
-    if kind is FockState and key in (("phase", "N"), ("extended-phase", "N")):
-        return _fock_number_estimate(state)
     raise UnsupportedObservable(f"no estimate of {observable} from {basis} "
-                                f"for {type(state).__name__}")
+                                f"for a {kind} state")
 
 
 # Each estimate below sums <a|B rho + rho B|a> / 2 and <a|rho|a> over the
@@ -144,31 +141,21 @@ def _grid_position_estimate(state) -> ClassicalComponent:
     return _masked_component(pgrid.points(), state, terms, pgrid.dx, "X", "momentum")
 
 
-def _rotator_estimate(state) -> ClassicalComponent:
-    """J_cl(phi) = hbar * Im[f* f'] / |f|^2 on the phase grid."""
-    hbar = state.constants.hbar
-    m = state.default_phase_points()
+def _rotator_estimate(state, m: int | None = None) -> ClassicalComponent:
+    """B_cl(phi) = (dB/dj) Im[f* f'] / |f|^2 on the phase grid for the label
+    observable B: J_cl = hbar * Im[f* f'] / |f|^2 on a rotator, and
+    N_cl = -Im[f* f'] / |f|^2 in Fock space, where N = n = -j; on m phase
+    points, by default the state's own number."""
+    slope = state.slope
+    m = m or state.default_phase_points()
 
     def terms(member):
         f = member.phase_samples(m)
         df = member.phase_samples(m, weights=1j * member.j_values)
-        return np.array([hbar * np.imag(np.conj(f) * df), np.abs(f) ** 2])
+        return np.array([slope * np.imag(np.conj(f) * df), np.abs(f) ** 2])
 
     return _masked_component(state.phase_grid(m), state, terms,
-                             2.0 * np.pi / m, "J", "phase")
-
-
-def _fock_number_estimate(state) -> ClassicalComponent:
-    """N_cl(phi) = Re[<psi|phi><phi|N|psi>] / p(phi)."""
-    m = state.default_phase_points()
-
-    def terms(member):
-        f = member.phase_samples(m)
-        g = member.phase_samples(m, weights=member.n_values.astype(complex))
-        return np.array([np.real(np.conj(f) * g), np.abs(f) ** 2])
-
-    return _masked_component(state.phase_grid(m), state, terms,
-                             2.0 * np.pi / m, "N", "phase")
+                             2.0 * np.pi / m, state.observable, "phase")
 
 
 def estimate_error(state, candidate, basis: str, observable: str) -> float:
@@ -211,7 +198,7 @@ def decomposition_summary(state, basis: str, observable: str) -> DecompositionSu
     return DecompositionSummary(var_total, var_cl, var_nc, residual, min_err)
 
 
-def energy_split(state: FockState, constants: Constants | None = None) -> tuple[float, float]:
+def energy_split(state: PeriodicState, constants: Constants | None = None) -> tuple[float, float]:
     """(E_cl, E_nc) with E_cl = hbar*omega*<N_cl> and E_cl + E_nc = hbar*omega*<N + 1/2>."""
     c = constants or state.constants
     comp = classical_estimate(state, "phase", "N")
@@ -224,7 +211,7 @@ def energy_split(state: FockState, constants: Constants | None = None) -> tuple[
 # extended-space construction of the nonclassical number observable
 
 
-def extended_number_nonclassical(state: FockState, cutoff: int) -> PomObservable:
+def extended_number_nonclassical(state: PeriodicState, cutoff: int) -> PomObservable:
     """POM for the nonclassical number component via the extended space.
 
     The number space is extended with negative labels n = -cutoff..cutoff so
@@ -233,7 +220,9 @@ def extended_number_nonclassical(state: FockState, cutoff: int) -> PomObservable
     subspace yields the effects.  Doubling the cutoff must leave the
     variance within 1e-4 relative, else CutoffTooSmall is raised.
     """
-    if cutoff < state.n_max:
+    if state.family != "fock":
+        raise UnsupportedObservable(f"no number POM for a {state.family} state")
+    if cutoff < state.label_max:
         raise ValueError("cutoff must cover the physical support")
 
     outcomes, effects, mean, var = _extended_pom(state, cutoff)
@@ -246,19 +235,14 @@ def extended_number_nonclassical(state: FockState, cutoff: int) -> PomObservable
                          cutoff_study=((cutoff, mean, var), (2 * cutoff, mean2, var2)))
 
 
-def _extended_pom(state: FockState, cutoff: int):
+def _extended_pom(state: PeriodicState, cutoff: int):
     labels = np.arange(-cutoff, cutoff + 1)
     dim = labels.size
     m_grid = 1 << max(12, int(np.ceil(np.log2(16 * dim))))
-    phi = 2.0 * np.pi * np.arange(m_grid) / m_grid
 
-    # <phi*|psi> and <phi*|N*|psi> for the embedded physical state
-    f = state.phase_samples(m_grid)
-    g = state.phase_samples(m_grid, weights=state.n_values.astype(complex))
-    density = np.abs(f) ** 2
-    mask = floor_mask(density)
-    ncl = np.zeros(m_grid)
-    ncl[mask] = np.real(np.conj(f[mask]) * g[mask]) / density[mask]
+    # N*_cl(phi) of the embedded physical state
+    comp = _rotator_estimate(state, m_grid)
+    ncl, mask = comp.values, comp.mask
     if not mask.all():
         # fill masked points by interpolation so the Fourier analysis of
         # N*_cl(phi) is not polluted by artificial spikes
@@ -278,7 +262,7 @@ def _extended_pom(state: FockState, cutoff: int):
         raise CutoffTooSmall("extended operator lost Hermiticity; raise the cutoff")
 
     eigvals, eigvecs = np.linalg.eigh(nonclassical)
-    phys = slice(cutoff, cutoff + state.n_max + 1)  # labels 0..n_max
+    phys = slice(cutoff, cutoff + state.label_max + 1)  # labels 0..n_max
     proj = eigvecs[phys, :]  # rows: physical block of each eigenvector
     effects = np.einsum("il,jl->lij", proj, proj.conj())
 
@@ -304,7 +288,7 @@ def continuity_residual(state, potential, dt: float) -> float:
     if not isinstance(state, (GridPureState, PeriodicState)):
         raise UnsupportedObservable(f"no continuity equation for {type(state).__name__}")
     c = state.constants
-    if isinstance(state, GridPureState):
+    if state.family == "grid":
         grid, speed, density = state.grid, c.hbar / c.mass, GridPureState.position_density
         f = state.amplitudes
         df = spectral_derivative(f, grid)

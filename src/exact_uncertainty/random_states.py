@@ -8,10 +8,10 @@ from .grids import GridSpec
 from .states import (
     Constants,
     FiniteState,
-    FockState,
     Grid2DPureState,
     GridPureState,
     PeriodicState,
+    fock_state,
     normalize,
 )
 
@@ -58,7 +58,7 @@ def random_periodic_state(rng: np.random.Generator, j_max: int = 24,
 
 
 def random_fock_state(rng: np.random.Generator, n_max: int = 32, mean: float | None = None,
-                      constants: Constants | None = None) -> FockState:
+                      constants: Constants | None = None) -> PeriodicState:
     """Poissonian-magnitude amplitudes with smooth random phases."""
     constants = constants or Constants()
     mean = mean if mean is not None else rng.uniform(1.0, 6.0)
@@ -66,7 +66,7 @@ def random_fock_state(rng: np.random.Generator, n_max: int = 32, mean: float | N
     log_mag = 0.5 * (n * np.log(mean) - _log_factorial(n) - mean)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
     amps = np.exp(log_mag - 1j * n * theta0)
-    return normalize(FockState(n_max, amps, constants))
+    return normalize(fock_state(n_max, amps, constants))
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:

@@ -29,13 +29,10 @@ from .fisher import (
 from .grids import spectral_derivative
 from .states import (
     FiniteState,
-    FockState,
     GridPureState,
     MixedState,
-    PeriodicState,
     embed_in_larger_box,
     ensemble_sum,
-    family,
     momentum_density,
     moments,
     to_momentum,
@@ -113,7 +110,7 @@ def verify_position_momentum(state, tol: float = TOL_GRID) -> RelationReport:
     hbar^2/(4 dX^2) + <P_cl^2> = int |<x|P rho|x>|^2 / <x|rho|x>  <=  <P^2>
     is verified separately and recorded in the notes.
     """
-    if family(state) is not GridPureState:
+    if state.family != "grid":
         raise TypeError("verify_position_momentum needs a grid state")
     if isinstance(state, MixedState):
         return _verify_mixed_grid(state, conjugate=False, tol=tol)
@@ -129,7 +126,7 @@ def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
     refined report is returned with both lattices' n_points, Fisher lengths
     and residuals in notes["resolution_study"].
     """
-    if family(state) is not GridPureState:
+    if state.family != "grid":
         raise TypeError("verify_conjugate needs a grid state")
     mixed = isinstance(state, MixedState)
     verify = _verify_mixed_grid if mixed else _verify_pure_grid
@@ -264,10 +261,7 @@ def _grid_notes(state, fm, comp) -> dict:
 
 def verify_phase_angular(state, tol: float = TOL_GRID) -> RelationReport:
     """delta_Phi * Delta_J_nc = hbar/2 for pure rotator states (>= mixed)."""
-    if family(state) is not PeriodicState:
-        raise TypeError("verify_phase_angular needs a rotator state")
-    hbar = state.constants.hbar
-    return _verify_circle(state, "J", 0.5 * hbar, "phase-angular", tol, heis_scale=0.5 * hbar)
+    return _verify_circle(state, "periodic", "phase-angular", tol)
 
 
 def verify_phase_number(state, tol: float = TOL_FOCK) -> RelationReport:
@@ -276,13 +270,14 @@ def verify_phase_number(state, tol: float = TOL_FOCK) -> RelationReport:
     The quadrature grid is doubled automatically and both values recorded,
     so slow phase-POM convergence is visible in the report.
     """
-    if family(state) is not FockState:
-        raise TypeError("verify_phase_number needs a photon-number state")
-    return _verify_circle(state, "N", 0.5, "phase-number", tol, heis_scale=0.5)
+    return _verify_circle(state, "fock", "phase-number", tol)
 
 
-def _verify_circle(state, observable: str, target: float, rel_id: str,
-                   tol: float, heis_scale: float) -> RelationReport:
+def _verify_circle(state, family: str, rel_id: str, tol: float) -> RelationReport:
+    """delta_Phi * Delta_B_nc against |dB/dj| / 2 for a ``family`` state's label observable B."""
+    if state.family != family:
+        raise TypeError(f"{rel_id} needs a {family} state")
+    observable, target = state.observable, 0.5 * abs(state.slope)
     m = state.default_phase_points()
     dens = circle_density(state.phase_density(m))
     fm = fisher_length_periodic(dens)
@@ -300,7 +295,7 @@ def _verify_circle(state, observable: str, target: float, rel_id: str,
     normalized = dens.normalized()
     opposite = np.interp(theta + np.pi, normalized.grid.points(), normalized.values,
                          period=2.0 * np.pi)
-    corollary_rhs = abs(1.0 - 2.0 * np.pi * opposite) * heis_scale
+    corollary_rhs = abs(1.0 - 2.0 * np.pi * opposite) * target
     corollary_lhs = float(np.sqrt(var_theta * var_b))
 
     notes = {
@@ -353,10 +348,9 @@ def verify_general(state, a_observable: np.ndarray,
     isometry onto a plain finite-dimensional space, with the observables
     given as matrices in the grid basis.
     """
-    if isinstance(state, GridPureState):
-        state = FiniteState.from_vector(state.amplitudes * np.sqrt(state.grid.dx))
-    elif isinstance(state, MixedState) and family(state) is GridPureState:
-        state = FiniteState(state.matrix * state.grid.dx)
+    if state.family == "grid":
+        state = (FiniteState(state.matrix * state.grid.dx) if isinstance(state, MixedState)
+                 else FiniteState.from_vector(state.amplitudes * np.sqrt(state.grid.dx)))
     a = np.asarray(a_observable, dtype=complex)
     b = np.asarray(b_observable, dtype=complex)
     rho = state.matrix

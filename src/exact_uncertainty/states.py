@@ -7,16 +7,27 @@ function, so concurrent evaluation on distinct inputs is always safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ParseError, UnsupportedObservable, ZeroNorm
 from .grids import GridSpec, row_blocks
 
-NORM_TOL = 1e-10
 EDGE_DECAY = 1e-12  # box convention: amplitude at edges relative to peak
 HERMITIAN_TOL = 1e-10  # density matrices: anti-Hermitian part and negative eigenvalues
 EIGEN_FLOOR = 1e-12  # density-matrix eigenvalues below this fraction of the largest are dropped
+ZERO_NORM = 1e-14  # a squared norm (trace) below this, or non-finite, is rescaled before use
+
+# the two families of circle states: the sign s of the rotator label j = s * l
+# of a stored label l (a photon number n sits at j = -n), the label observable
+# (J = hbar * l, N = l), and the default phase-point rule, at least `least`
+# points and `per_label` points per label
+CIRCLE_FAMILIES = {"periodic": (1, "J", 256, 8), "fock": (-1, "N", 1024, 32)}
+
+
+def _norm_squared(state) -> float:
+    return float(np.sum(np.abs(state.amplitudes) ** 2) * state.measure)
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,7 @@ class GridPureState:
     grid: GridSpec
     amplitudes: np.ndarray
     constants: Constants = field(default_factory=Constants)
+    family: ClassVar[str] = "grid"
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -49,8 +61,10 @@ class GridPureState:
         object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
+    def measure(self) -> float:
+        return self.grid.dx
+
+    norm_squared = property(_norm_squared)
 
     def position_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -70,6 +84,7 @@ class Grid2DPureState:
     grid_y: GridSpec
     amplitudes: np.ndarray
     constants: Constants = field(default_factory=Constants)
+    family: ClassVar[str] = "grid-2d"  # not a state-file family
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -81,9 +96,7 @@ class Grid2DPureState:
     def measure(self) -> float:
         return self.grid_x.dx * self.grid_y.dx
 
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.measure)
+    norm_squared = property(_norm_squared)
 
     def position_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -104,36 +117,53 @@ class Grid2DPureState:
 
 @dataclass(frozen=True)
 class PeriodicState:
-    """Rotator state: amplitudes psi_j over angular-momentum labels j.
+    """A state on the circle: amplitudes psi_l over the labels l = label_min..label_max.
 
-    The phase wavefunction is f(phi) = (2*pi)**-0.5 * sum_j psi_j e^{i j phi}.
+    Two families share it (CIRCLE_FAMILIES).  A rotator (``"periodic"``)
+    carries angular momentum J = hbar * j on the labels j = l; a
+    photon-number state (``"fock"``, labels n = 0..n_max) carries N = n and
+    sits on the rotator labels j = -n.  Either way the phase wavefunction is
+    f(phi) = (2*pi)**-0.5 * sum_j psi_j e^{i j phi}.
     """
 
-    j_min: int
-    j_max: int
+    label_min: int
+    label_max: int
     amplitudes: np.ndarray
     constants: Constants = field(default_factory=Constants)
+    family: str = "periodic"
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.j_min > self.j_max:
-            raise ValueError("need j_min <= j_max")
-        if amps.shape != (self.j_max - self.j_min + 1,):
-            raise ValueError("amplitude count does not match j range")
+        if self.family not in CIRCLE_FAMILIES:
+            raise ValueError(f"unknown circle family {self.family!r}")
+        if self.label_min > self.label_max or (self.family == "fock" and self.label_min != 0):
+            raise ValueError("need label_min <= label_max, and photon numbers from 0")
+        if amps.shape != (self.label_max - self.label_min + 1,):
+            raise ValueError("amplitude count does not match the label range")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def j_values(self) -> np.ndarray:
-        return np.arange(self.j_min, self.j_max + 1)
+        """The rotator label j of each amplitude: l, or -n in Fock space."""
+        return CIRCLE_FAMILIES[self.family][0] * np.arange(self.label_min, self.label_max + 1)
 
     @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+    def observable(self) -> str:
+        """The label observable: "J" on a rotator, "N" in Fock space."""
+        return CIRCLE_FAMILIES[self.family][1]
+
+    @property
+    def slope(self) -> float:
+        """dB/dj for the label observable B: J = hbar * j, N = n = -j."""
+        sign, observable = CIRCLE_FAMILIES[self.family][:2]
+        return sign * (self.constants.hbar if observable == "J" else 1.0)
+
+    measure = 1.0
+    norm_squared = property(_norm_squared)
 
     def default_phase_points(self) -> int:
-        span = self.j_max - self.j_min + 1
-        m = 256
-        while m < 8 * span:
+        _, _, m, per_label = CIRCLE_FAMILIES[self.family]
+        while m < per_label * self.amplitudes.size:
             m *= 2
         return m
 
@@ -153,53 +183,9 @@ class PeriodicState:
         return np.abs(self.phase_samples(m)) ** 2
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Photon-number state: amplitudes c_n, n = 0..n_max (pure form).
-
-    Phase-observable machinery lives in the decomposition module; here the
-    state only knows its amplitudes and the conjugate-phase kernel
-    <phi|psi> = (2*pi)**-0.5 * sum_n c_n e^{-i n phi}.
-    """
-
-    n_max: int
-    amplitudes: np.ndarray
-    constants: Constants = field(default_factory=Constants)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.n_max + 1,):
-            raise ValueError("amplitude count does not match n_max")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_values(self) -> np.ndarray:
-        return np.arange(self.n_max + 1)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def default_phase_points(self) -> int:
-        m = 1024
-        while m < 32 * (self.n_max + 1):
-            m *= 2
-        return m
-
-    def phase_grid(self, m: int | None = None) -> np.ndarray:
-        m = m or self.default_phase_points()
-        return 2.0 * np.pi * np.arange(m) / m
-
-    def phase_samples(self, m: int | None = None, weights=None) -> np.ndarray:
-        """<phi|psi> on m uniform points; `weights` multiplies c_n first."""
-        m = m or self.default_phase_points()
-        coeff = self.amplitudes if weights is None else self.amplitudes * weights
-        g = np.zeros(m, dtype=complex)
-        g[: self.n_max + 1] = coeff
-        return np.fft.fft(g) / np.sqrt(2.0 * np.pi)
-
-    def phase_density(self, m: int | None = None) -> np.ndarray:
-        return np.abs(self.phase_samples(m)) ** 2
+def fock_state(n_max: int, amplitudes, constants: Constants | None = None) -> PeriodicState:
+    """The photon-number state with amplitudes c_0..c_n_max."""
+    return PeriodicState(0, n_max, amplitudes, constants or Constants(), "fock")
 
 
 @dataclass(frozen=True)
@@ -217,7 +203,8 @@ class MixedState:
     members: tuple
 
     # the space the members share, read through the first member
-    SHARED = frozenset({"grid", "constants", "default_phase_points", "phase_grid"})
+    SHARED = frozenset({"grid", "constants", "family", "observable", "slope",
+                        "default_phase_points", "phase_grid"})
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -226,9 +213,9 @@ class MixedState:
             raise ValueError("need one weight per member and at least one member")
         if not np.all(np.isfinite(weights)) or weights.min() < 0.0:
             raise ValueError("weights must be finite and nonnegative")
-        spaces = {(type(m), getattr(m, "grid", None), getattr(m, "j_min", None),
+        spaces = {(m.family, getattr(m, "grid", None), getattr(m, "label_min", None),
                    m.amplitudes.shape, m.constants) for m in members}
-        if len(spaces) != 1 or type(members[0]) not in (GridPureState, PeriodicState, FockState):
+        if len(spaces) != 1 or type(members[0]) not in (GridPureState, PeriodicState):
             raise ValueError("members must be grid, rotator or Fock pure states on one space")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "members", members)
@@ -238,6 +225,30 @@ class MixedState:
         """Mix (weight, pure state) pairs; weights are renormalized."""
         weights = np.array([w for w, _ in weighted_states], dtype=float)
         return cls(weights / weights.sum(), tuple(s for _, s in weighted_states))
+
+    @classmethod
+    def from_matrix(cls, template, matrix) -> "MixedState":
+        """Factor a density matrix over the amplitudes of the pure state
+        ``template`` into members shaped like it.
+
+        rho * measure is factored once with eigh into sum_i lambda_i v_i v_i^dagger;
+        each retained v_i becomes a member with amplitudes v_i / sqrt(measure)
+        and weight lambda_i.  Eigenvalues below EIGEN_FLOOR of the largest are
+        dropped and the weights renormalized, so the trace is normalized here.
+        A matrix whose trace is non-finite or below ZERO_NORM is divided by its
+        largest entry first (:func:`_in_range`).  A matrix that is not
+        Hermitian positive semidefinite raises ValueError.
+        """
+        mat = np.asarray(matrix, dtype=complex)
+        if mat.shape != (template.amplitudes.size,) * 2:
+            raise ValueError("matrix shape does not match the grid")
+        measure = template.measure
+        mat, _ = _in_range(mat, lambda m: float(np.real(np.trace(m))) * measure)
+        eigvals, eigvecs = _density_eigh(mat, measure, HERMITIAN_TOL)
+        keep = np.flatnonzero(eigvals > EIGEN_FLOOR * eigvals[-1])[::-1]
+        return cls.from_ensemble(
+            [(eigvals[i], replace(template, amplitudes=eigvecs[:, i] / np.sqrt(measure)))
+             for i in keep])
 
     def __getattr__(self, name):
         if name in MixedState.SHARED:
@@ -252,7 +263,7 @@ class MixedState:
     def purity(self) -> float:
         """tr[rho^2] = sum_ij w_i w_j |<psi_i|psi_j>|^2."""
         amps = np.array([m.amplitudes for m in self.members])
-        overlaps = np.abs(amps.conj() @ amps.T * _measure(self.members[0])) ** 2
+        overlaps = np.abs(amps.conj() @ amps.T * self.members[0].measure) ** 2
         return float(self.weights @ overlaps @ self.weights)
 
     @property
@@ -273,6 +284,9 @@ class MixedState:
         return bool(peak > 0 and max(d[0], d[-1]) > (EDGE_DECAY ** 2) * peak)
 
 
+GridMixedState = MixedState  # the name grid mixtures were built under
+
+
 def ensemble_sum(state, quantity):
     """quantity(state) for a pure state; sum_i w_i quantity(psi_i) over the
     members of a MixedState, which is exact for any quantity linear in rho."""
@@ -286,69 +300,19 @@ def ensemble_sum(state, quantity):
     return total
 
 
-def family(state) -> type:
-    """The pure class of a state, or of a mixture's members."""
-    return type(state.members[0]) if isinstance(state, MixedState) else type(state)
-
-
-def _measure(state) -> float:
-    """Quadrature weight of one amplitude: dx on a grid, 1 on labels."""
-    return state.grid.dx if isinstance(state, GridPureState) else 1.0
-
-
-def _factor(matrix, template) -> MixedState:
-    """The shared density-matrix constructor, for members shaped like ``template``.
-
-    rho * measure is factored once with eigh into sum_i lambda_i v_i v_i^dagger;
-    each retained v_i becomes a member with amplitudes v_i / sqrt(measure) and
-    weight lambda_i.  Eigenvalues below EIGEN_FLOOR of the largest are
-    dropped and the weights renormalized, so the trace is normalized here.
-    A clearly negative eigenvalue raises ValueError, a zero matrix ZeroNorm.
-    """
-    mat = np.asarray(matrix, dtype=complex)
-    if mat.shape != (template.amplitudes.size,) * 2:
-        raise ValueError("matrix shape does not match the grid")
+def _density_eigh(mat: np.ndarray, measure: float, hermitian_tol: float, vectors: bool = True):
+    """eigh of ``mat * measure`` (eigenvectors None unless ``vectors``) for a
+    density matrix ``mat``, which must be finite, Hermitian to
+    ``hermitian_tol`` of its largest entry (or of 1) and positive
+    semidefinite; ValueError otherwise."""
     # written so that a NaN or an infinity fails the test
-    if not (np.max(np.abs(mat - mat.conj().T)) <= HERMITIAN_TOL * max(1.0, np.max(np.abs(mat)))):
+    if not (np.max(np.abs(mat - mat.conj().T)) <= hermitian_tol * max(1.0, np.max(np.abs(mat)))):
         raise ValueError("density matrix is not finite and Hermitian")
-    measure = _measure(template)
-    eigvals, eigvecs = np.linalg.eigh(mat * measure)
-    _check_scale(float(np.max(np.abs(eigvals))))
+    eigvals, eigvecs = (np.linalg.eigh(mat * measure) if vectors
+                        else (np.linalg.eigvalsh(mat * measure), None))
     if eigvals[0] < -HERMITIAN_TOL * abs(eigvals[-1]):
         raise ValueError("density matrix is not positive semidefinite")
-    keep = np.flatnonzero(eigvals > EIGEN_FLOOR * eigvals[-1])[::-1]
-    return MixedState.from_ensemble(
-        [(eigvals[i], replace(template, amplitudes=eigvecs[:, i] / np.sqrt(measure)))
-         for i in keep])
-
-
-class GridMixedState:
-    """Grid density matrix rho(x_k, x_l), factored into a MixedState."""
-
-    from_ensemble = MixedState.from_ensemble
-
-    def __new__(cls, grid: GridSpec, matrix, constants: Constants | None = None):
-        return _factor(matrix, GridPureState(grid, np.zeros(grid.n_points),
-                                             constants or Constants()))
-
-
-class PeriodicMixedState:
-    """Rotator density matrix over j_min..j_max, factored into a MixedState."""
-
-    from_ensemble = MixedState.from_ensemble
-
-    def __new__(cls, j_min: int, j_max: int, matrix, constants: Constants | None = None):
-        return _factor(matrix, PeriodicState(j_min, j_max, np.zeros(j_max - j_min + 1),
-                                             constants or Constants()))
-
-
-class FockMixedState:
-    """Photon-number density matrix over n = 0..n_max, factored into a MixedState."""
-
-    from_ensemble = MixedState.from_ensemble
-
-    def __new__(cls, n_max: int, matrix, constants: Constants | None = None):
-        return _factor(matrix, FockState(n_max, np.zeros(n_max + 1), constants or Constants()))
+    return eigvals, eigvecs
 
 
 @dataclass(frozen=True)
@@ -356,13 +320,13 @@ class FiniteState:
     """Density matrix on a d-dimensional Hilbert space (pure = rank one)."""
 
     matrix: np.ndarray
+    family: ClassVar[str] = "finite"
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise ValueError("matrix must be square with dimension >= 2")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("density matrix is not Hermitian")
+        _density_eigh(mat, 1.0, 1e-12, vectors=False)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
@@ -386,24 +350,35 @@ class FiniteState:
 
 def normalize(state):
     """Return the unit-norm version of a pure or finite state; direction and
-    phase kept.  A MixedState has renormalized weights from construction."""
-    if isinstance(state, (GridPureState, Grid2DPureState, PeriodicState, FockState)):
-        return _scale_check(state, state.norm_squared)
+    phase kept.  A state whose norm is non-finite or below ZERO_NORM is first
+    divided by its largest entry (:func:`_in_range`), so a tiny or huge but
+    valid state normalizes too.  A MixedState has renormalized weights from
+    construction."""
+    if isinstance(state, MixedState):
+        raise UnsupportedObservable("cannot normalize a MixedState")
     if isinstance(state, FiniteState):
-        tr = float(np.real(np.trace(state.matrix)))
-        _check_scale(tr)
-        return replace(state, matrix=state.matrix / tr)
-    raise UnsupportedObservable(f"cannot normalize {type(state).__name__}")
+        mat, trace = _in_range(state.matrix, lambda m: float(np.real(np.trace(m))))
+        return replace(state, matrix=mat / trace)
+    amps, norm = _in_range(state.amplitudes, lambda a: replace(state, amplitudes=a).norm_squared)
+    return replace(state, amplitudes=amps / np.sqrt(norm))
 
 
-def _check_scale(norm_sq: float):
-    if norm_sq < 1e-14:
-        raise ZeroNorm("state norm is numerically zero")
-
-
-def _scale_check(state, norm_sq: float):
-    _check_scale(norm_sq)
-    return replace(state, amplitudes=state.amplitudes / np.sqrt(norm_sq))
+def _in_range(values: np.ndarray, norm_of):
+    """``(values, norm_of(values))`` for a norm (squared, or a trace) in
+    [ZERO_NORM, inf); otherwise ``values`` are first divided by max |values|,
+    so that the scale of an input never decides whether it loads.  Only an
+    all-zero input raises ZeroNorm; a non-finite entry raises ParseError."""
+    with np.errstate(over="ignore"):  # an overflow is what sends values on to be rescaled
+        norm = norm_of(values)
+    if ZERO_NORM <= norm < np.inf:
+        return values, norm
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        raise ZeroNorm("state is zero")
+    if not np.isfinite(peak):
+        raise ParseError("state has a non-finite entry")
+    values = values / peak
+    return values, norm_of(values)
 
 
 def embed_in_larger_box(state: GridPureState, factor: int = 4) -> GridPureState:
@@ -452,7 +427,7 @@ def from_momentum(state: GridPureState, xgrid: GridSpec) -> GridPureState:
 
 def momentum_density(state) -> tuple[np.ndarray, np.ndarray]:
     """(p values sorted, momentum density) for a grid pure state or mixture."""
-    if family(state) is not GridPureState:
+    if state.family != "grid":
         raise UnsupportedObservable("momentum density needs a grid state")
     p = state.grid.conjugate_grid(state.constants.hbar).points()
     return p, ensemble_sum(state, lambda s: np.abs(to_momentum(s).amplitudes) ** 2)
@@ -476,12 +451,10 @@ def moments(state, observable: str) -> tuple[float, float]:
     elif observable == "P" and isinstance(state, GridPureState):
         b, dens = momentum_density(state)
         measure = state.grid.momentum_spacing(state.constants.hbar)
-    elif observable == "J" and isinstance(state, PeriodicState):
-        b, dens, measure = state.constants.hbar * state.j_values, np.abs(state.amplitudes) ** 2, 1.0
-    elif observable == "N" and isinstance(state, FockState):
-        b, dens, measure = state.n_values, np.abs(state.amplitudes) ** 2, 1.0
+    elif isinstance(state, PeriodicState) and observable == state.observable:
+        b, dens, measure = state.slope * state.j_values, np.abs(state.amplitudes) ** 2, 1.0
     else:
-        raise UnsupportedObservable(f"{observable!r} is not defined for {type(state).__name__}")
+        raise UnsupportedObservable(f"{observable!r} is not defined for a {state.family} state")
     return tuple(float(np.sum(b ** k * dens) * measure) for k in (1, 2))
 
 
@@ -498,9 +471,9 @@ def evolve_step(state, potential, dt: float):
     """
     if isinstance(state, GridPureState):
         return _evolve_grid(state, potential, dt)
-    if isinstance(state, PeriodicState):
+    if isinstance(state, PeriodicState) and state.family == "periodic":
         return _evolve_rotator(state, potential, dt)
-    raise UnsupportedObservable(f"cannot evolve {type(state).__name__}")
+    raise UnsupportedObservable(f"cannot evolve a {state.family} state")
 
 
 def _evolve_grid(state: GridPureState, potential, dt: float) -> GridPureState:
@@ -530,12 +503,9 @@ def _evolve_rotator(state: PeriodicState, potential, dt: float) -> PeriodicState
         raise ValueError(f"potential must be sampled on the {m}-point phase grid")
     half = np.exp(-0.5j * v * dt / c.hbar)
 
-    def apply_phase_factor(coeffs):
-        g = np.zeros(m, dtype=complex)
-        np.add.at(g, np.mod(j, m), coeffs)
-        f = np.fft.ifft(g)  # values on the phase grid (up to scale)
-        g2 = np.fft.fft(half * f)
-        return g2[np.mod(j, m)]
+    def apply_phase_factor(coeffs):  # f(phi) times `half` on the phase grid
+        f = replace(state, amplitudes=coeffs).phase_samples(m)
+        return np.fft.fft(half * f)[np.mod(j, m)] * (np.sqrt(2.0 * np.pi) / m)
 
     amps = apply_phase_factor(amps)
     amps = kin * amps
@@ -556,22 +526,22 @@ def state_to_dict(state) -> dict:
         del doc["amplitudes"]
         doc["matrix"] = [_complex_list(row) for row in state.matrix]
         return doc
-    if isinstance(state, FiniteState):
+    if state.family == "finite":
         return {
             "family": "finite",
             "grid": {"dimension": state.dimension},
             "matrix": [_complex_list(row) for row in state.matrix],
         }
-    if isinstance(state, GridPureState):
-        name, grid = "grid", {"n_points": state.grid.n_points, "x_min": state.grid.x_min,
-                              "x_max": state.grid.x_max}
-    elif isinstance(state, PeriodicState):
-        name, grid = "periodic", {"j_min": state.j_min, "j_max": state.j_max}
-    elif isinstance(state, FockState):
-        name, grid = "fock", {"n_max": state.n_max}
+    if state.family == "grid":
+        grid = {"n_points": state.grid.n_points, "x_min": state.grid.x_min,
+                "x_max": state.grid.x_max}
+    elif state.family == "periodic":
+        grid = {"j_min": state.label_min, "j_max": state.label_max}
+    elif state.family == "fock":
+        grid = {"n_max": state.label_max}
     else:
-        raise UnsupportedObservable(f"cannot serialize {type(state).__name__}")
-    return {"family": name, "grid": grid, "amplitudes": _complex_list(state.amplitudes)}
+        raise UnsupportedObservable(f"cannot serialize a {state.family} state")
+    return {"family": state.family, "grid": grid, "amplitudes": _complex_list(state.amplitudes)}
 
 
 def state_from_dict(doc: dict, constants: Constants | None = None):
@@ -585,22 +555,20 @@ def state_from_dict(doc: dict, constants: Constants | None = None):
     try:
         name = doc["family"]
         grid = doc.get("grid", {})
-        if name == "grid":
-            labels = (GridSpec(int(grid["n_points"]), float(grid["x_min"]), float(grid["x_max"])),)
-            pure, mixed = GridPureState, GridMixedState
-        elif name == "periodic":
-            labels = (int(grid["j_min"]), int(grid["j_max"]))
-            pure, mixed = PeriodicState, PeriodicMixedState
-        elif name == "fock":
-            labels = (int(grid["n_max"]),)
-            pure, mixed = FockState, FockMixedState
-        elif name == "finite":
+        if name == "finite":
             return normalize(FiniteState(_complex_array(doc["matrix"])))
+        matrix = _complex_array(doc["matrix"]) if "matrix" in doc else None
+        amps = _complex_array(doc["amplitudes"]) if matrix is None else np.zeros(len(matrix))
+        if name == "grid":
+            spec = GridSpec(int(grid["n_points"]), float(grid["x_min"]), float(grid["x_max"]))
+            state = GridPureState(spec, amps, constants)
+        elif name == "periodic":
+            state = PeriodicState(int(grid["j_min"]), int(grid["j_max"]), amps, constants)
+        elif name == "fock":
+            state = fock_state(int(grid["n_max"]), amps, constants)
         else:
             raise ParseError(f"unknown state family {name!r}")
-        if "matrix" in doc:
-            return mixed(*labels, _complex_array(doc["matrix"]), constants)
-        return normalize(pure(*labels, _complex_array(doc["amplitudes"]), constants))
+        return normalize(state) if matrix is None else MixedState.from_matrix(state, matrix)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad state document: {exc}") from exc
 
@@ -630,8 +598,8 @@ def gaussian_state(grid: GridSpec, sigma: float, center: float = 0.0, momentum: 
 
 
 def fock_basis_state(n: int, n_max: int | None = None,
-                     constants: Constants | None = None) -> FockState:
+                     constants: Constants | None = None) -> PeriodicState:
     n_max = n_max if n_max is not None else max(n, 1)
     amps = np.zeros(n_max + 1, dtype=complex)
     amps[n] = 1.0
-    return FockState(n_max, amps, constants or Constants())
+    return fock_state(n_max, amps, constants)

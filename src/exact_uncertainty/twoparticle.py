@@ -16,10 +16,10 @@ import numpy as np
 
 from .decomposition import ClassicalComponent, classical_estimate
 from .densities import MASKED_MASS_LIMIT, PlaneDensity, floor_mask
-from .errors import GridResolution, VanishingDensity
+from .errors import GridResolution, VanishingDensity, ZeroNorm
 from .fisher import inverse_information, plane_information_rows
 from .grids import GridSpec, real_derivative_columns, row_blocks, spectral_derivative_axis
-from .states import Constants, Grid2DPureState, GridPureState, _check_scale, normalize
+from .states import ZERO_NORM, Constants, Grid2DPureState, GridPureState, normalize
 
 
 def position_plane_density(state: Grid2DPureState) -> PlaneDensity:
@@ -418,7 +418,8 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
         block *= np.exp(expo, out=expo)
         norm_sq += np.vdot(psi[rows], psi[rows]).real
     norm_sq *= grid_x.dx * grid_y.dx
-    _check_scale(norm_sq)
+    if norm_sq < ZERO_NORM:
+        raise ZeroNorm("state norm is numerically zero")
     scale = 1.0 / np.sqrt(norm_sq)
     for rows, band in bands:
         psi[rows, band] *= scale

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .densities import masked_ratio
 from .grids import GridSpec, fourier_interpolate, row_blocks
-from .states import GridPureState, MixedState, family
+from .states import MixedState
 
 # byte budget of one complex block of slice rows: L2-sized, so a block's
 # slices are still in cache when its rows are transformed (63 rows at n = 1024)
@@ -65,7 +65,7 @@ def wigner_transform(state) -> WignerGrid:
     operations as a whole-array build, so the values do not depend on the
     block size.
     """
-    if family(state) is not GridPureState:
+    if state.family != "grid":
         raise TypeError("wigner_transform needs a grid state")
 
     grid = state.grid

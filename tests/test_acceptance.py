@@ -40,10 +40,10 @@ from exact_uncertainty.relations import (
 from exact_uncertainty.signals import SignalRecord, gaussian_pulse, verify_time_frequency
 from exact_uncertainty.states import (
     FiniteState,
-    FockState,
     GridMixedState,
     GridPureState,
     fock_basis_state,
+    fock_state,
     gaussian_state,
     normalize,
     variance,
@@ -76,7 +76,7 @@ def suite_states(n=50, seed=1234):
 def poissonian(mean, n_max):
     n = np.arange(n_max + 1)
     log_mag = 0.5 * (n * np.log(mean) - np.array([lgamma(v + 1.0) for v in n]) - mean)
-    return normalize(FockState(n_max, np.exp(log_mag)))
+    return normalize(fock_state(n_max, np.exp(log_mag)))
 
 
 def test_criterion_01_exact_position_momentum():
@@ -151,7 +151,7 @@ def test_criterion_03_wigner_identity():
 def test_criterion_04_phase_number():
     ok = False
     try:
-        sup = normalize(FockState(1, np.array([1.0, 1.0])))
+        sup = normalize(fock_state(1, np.array([1.0, 1.0])))
         rep_sup = verify_phase_number(sup, tol=1e-4)
         assert rep_sup.verdict == EQUALITY and rep_sup.residual < 1e-4
 

@@ -12,9 +12,10 @@ from exact_uncertainty.random_states import (
     random_periodic_state,
 )
 from exact_uncertainty.states import (
-    FockMixedState,
+    FiniteState,
     GridMixedState,
-    PeriodicMixedState,
+    GridPureState,
+    MixedState,
     fock_basis_state,
     gaussian_state,
     state_to_dict,
@@ -288,6 +289,45 @@ def test_state_loading_exit_codes(tmp_path, kind, code, error_kind):
         assert report["kind"] == error_kind
 
 
+@pytest.mark.parametrize("kind, scale", [("gaussian", 1e-8), ("gaussian", 1e160),
+                                         ("one-entry", 1e308)])
+def test_state_scale_does_not_change_reports(tmp_path, kind, scale):
+    # a scaled file is the state it scales: 1e-8 once read as ZeroNorm, and
+    # |psi|^2 of the other two overflowed to a zero state or a traceback
+    grid = GridSpec(64, -8.0, 8.0)
+    amps = gaussian_state(grid, 1.0).amplitudes if kind == "gaussian" else np.eye(64)[20]
+    runs = []
+    for factor in (1.0, scale):
+        path = tmp_path / f"state-{factor:g}.json"
+        path.write_text(json.dumps(state_to_dict(GridPureState(grid, factor * amps))))
+        runs.append([run([command, str(path)], tmp_path / "out.json")
+                     for command in ("verify", "wigner")])
+    (verify_code, verify), (wigner_code, wigner) = runs[1]
+    (ref_verify_code, ref_verify), (ref_wigner_code, ref_wigner) = runs[0]
+    assert (verify_code, wigner_code) == (ref_verify_code, ref_wigner_code)
+    report, ref = verify["reports"][0], ref_verify["reports"][0]
+    assert report["verdict"] == ref["verdict"]
+    assert report["left"] == pytest.approx(ref["left"], rel=1e-12)
+    assert report["residual"] == pytest.approx(ref["residual"], rel=1e-12, abs=1e-14)
+    for key in ("total", "imaginary_residue", "min_value",
+                "average_momentum_max_weighted_deviation"):
+        assert wigner[key] == pytest.approx(ref_wigner[key], rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1.5, -0.5]), np.full((2, 2), np.nan)],
+                         ids=["not-positive", "nan"])
+def test_finite_state_must_be_a_density_matrix(tmp_path, matrix):
+    with pytest.raises(ValueError):
+        FiniteState(matrix)
+    state_path = tmp_path / "finite.json"
+    # json writes and reads the NaN token
+    state_path.write_text(json.dumps({
+        "family": "finite", "grid": {"dimension": 2},
+        "matrix": np.stack([matrix.real, matrix.imag], axis=-1).tolist()}))
+    code, report = run(["verify", str(state_path)], tmp_path / "out.json")
+    assert code == 2 and report["kind"] == "parse"
+
+
 def test_reports_are_strict_json(tmp_path):
     # a number eigenstate has a flat phase density: its Fisher length is
     # infinite and the report says so with the "inf" string and its flag
@@ -309,10 +349,10 @@ def test_nan_in_report_exits_three(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("mixture, relation", [
-    (lambda rng: PeriodicMixedState.from_ensemble(
+    (lambda rng: MixedState.from_ensemble(
         [(0.5, random_periodic_state(rng)), (0.5, random_periodic_state(rng))]),
      "phase-angular"),
-    (lambda rng: FockMixedState.from_ensemble(
+    (lambda rng: MixedState.from_ensemble(
         [(0.5, random_fock_state(rng, 30, mean=2.0)), (0.5, random_fock_state(rng, 30, mean=4.0))]),
      "phase-number"),
 ])

@@ -14,12 +14,12 @@ from exact_uncertainty.errors import UnsupportedObservable, VanishingDensity
 from exact_uncertainty.grids import GridSpec
 from exact_uncertainty.random_states import random_smooth_grid_state
 from exact_uncertainty.states import (
-    FockState,
     GridMixedState,
     GridPureState,
     PeriodicState,
     evolve_step,
     fock_basis_state,
+    fock_state,
     gaussian_state,
     moment,
     normalize,
@@ -189,7 +189,7 @@ class TestExtendedNumber:
         from math import lgamma
 
         log_mag = 0.5 * (n * np.log(mean) - np.array([lgamma(v + 1) for v in n]) - mean)
-        st = normalize(FockState(40, np.exp(log_mag)))
+        st = normalize(fock_state(40, np.exp(log_mag)))
         pom = extended_number_nonclassical(st, cutoff=80)
         comp = classical_estimate(st, "phase", "N")
         oracle = variance(st, "N") - comp.variance
@@ -197,16 +197,21 @@ class TestExtendedNumber:
         assert abs(pom.mean) < 1e-6
 
     def test_superposition_completeness(self):
-        st = normalize(FockState(1, np.array([1.0, 1.0])))
+        st = normalize(fock_state(1, np.array([1.0, 1.0])))
         pom = extended_number_nonclassical(st, cutoff=10)
         assert pom.completeness_residual() < 1e-10
 
     def test_effects_positive(self):
-        st = normalize(FockState(1, np.array([1.0, 1.0])))
+        st = normalize(fock_state(1, np.array([1.0, 1.0])))
         pom = extended_number_nonclassical(st, cutoff=10)
         for eff in pom.effects:
             eigs = np.linalg.eigvalsh(eff)
             assert eigs.min() > -1e-12
+
+    def test_rotator_has_no_number_pom(self):
+        # a rotator shares the circle class with Fock states but has no N
+        with pytest.raises(UnsupportedObservable):
+            extended_number_nonclassical(PeriodicState(-1, 1, np.array([0.0, 1.0, 0.0])), 10)
 
 
 class TestEnergySplit:
@@ -221,7 +226,7 @@ class TestEnergySplit:
         assert e_nc == pytest.approx(0.5, abs=1e-12)
 
     def test_superposition_total(self):
-        st = normalize(FockState(2, np.array([1.0, 0.0, 1.0])))
+        st = normalize(fock_state(2, np.array([1.0, 0.0, 1.0])))
         e_cl, e_nc = energy_split(st)
         assert e_cl + e_nc == pytest.approx(1.5, rel=1e-12)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exact_uncertainty import states
 from exact_uncertainty.errors import VanishingDensity
 from exact_uncertainty.grids import GridSpec
 from exact_uncertainty.mub import mub_construct
@@ -28,14 +29,13 @@ from exact_uncertainty.relations import (
 from exact_uncertainty.states import (
     Constants,
     FiniteState,
-    FockMixedState,
-    FockState,
     Grid2DPureState,
     GridMixedState,
     GridPureState,
-    PeriodicMixedState,
+    MixedState,
     PeriodicState,
     fock_basis_state,
+    fock_state,
     gaussian_state,
     normalize,
     variance,
@@ -269,7 +269,7 @@ class TestPhaseAngular:
         assert spreads[0] < spreads[1] < spreads[2]
 
     def test_mixed_rotator_bound(self, rng):
-        mix = PeriodicMixedState.from_ensemble([
+        mix = MixedState.from_ensemble([
             (0.5, random_periodic_state(rng)),
             (0.5, random_periodic_state(rng)),
         ])
@@ -287,7 +287,7 @@ class TestPhaseNumber:
         assert report.notes["variance_classical"] < 1e-10
 
     def test_equal_superposition_equality(self):
-        st = normalize(FockState(1, np.array([1.0, 1.0])))
+        st = normalize(fock_state(1, np.array([1.0, 1.0])))
         report = verify_phase_number(st, tol=1e-6)
         assert report.verdict == EQUALITY
         assert report.residual < 1e-6
@@ -299,8 +299,28 @@ class TestPhaseNumber:
         study = report.notes["resolution_study"]["fisher_length"]
         assert abs(study[1] - study[0]) < 1e-6 * study[0]
 
+    def test_number_is_the_rotator_on_negative_labels(self, rng, monkeypatch):
+        # a photon-number state c_n is the rotator psi_j = c_{-j}: at hbar = 1,
+        # on the same phase points and tolerance, both relations read the
+        # same numbers (the rotator takes the Fock phase-point rule here)
+        monkeypatch.setitem(states.CIRCLE_FAMILIES, "periodic",
+                            (1, "J") + states.CIRCLE_FAMILIES["fock"][2:])
+        for n_max in (8, 32, 60):
+            fock = random_fock_state(rng, n_max, mean=float(rng.uniform(1.0, 6.0)))
+            rotator = PeriodicState(-n_max, 0, fock.amplitudes[::-1])
+            number = verify_phase_number(fock, tol=1e-4)
+            angular = verify_phase_angular(rotator, tol=1e-4)
+            assert number.notes["phase_points"] == angular.notes["phase_points"]
+            assert number.verdict == angular.verdict == EQUALITY
+            pairs = [(number.left, angular.left),
+                     (number.notes["variance_total"], angular.notes["variance_total"])]
+            pairs += zip(number.notes["resolution_study"]["fisher_length"],
+                         angular.notes["resolution_study"]["fisher_length"])
+            for a, b in pairs:
+                assert a == pytest.approx(b, rel=1e-13)
+
     def test_mixed_fock_bound(self, rng):
-        mix = FockMixedState.from_ensemble([
+        mix = MixedState.from_ensemble([
             (0.5, random_fock_state(rng, 30, mean=2.0)),
             (0.5, random_fock_state(rng, 30, mean=4.0)),
         ])
@@ -359,6 +379,11 @@ class TestGeneral:
         b = np.zeros((3, 3), dtype=complex)
         b[1, 0] = b[0, 1] = 1.0
         rho = np.array([[0.9, 0.3, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.1]], dtype=complex)
+        with pytest.raises(ValueError):
+            FiniteState(rho)  # clearly indefinite: rejected where it is built
+        # within the positivity tolerance (lowest eigenvalue -1.1e-12) a label
+        # of zero probability can still carry 1e-6 of B rho
+        rho = np.array([[0.0, 1e-6, 0.0], [1e-6, 0.9, 0.0], [0.0, 0.0, 0.1]], dtype=complex)
         with pytest.raises(VanishingDensity):
             verify_general(FiniteState(rho), a, b)
 
