@@ -38,5 +38,8 @@ print("the momentum average of each Wigner column IS the best classical estimate
 
 if len(sys.argv) > 1:
     with open(sys.argv[1], "w", newline="") as fh:
-        csv.writer(fh).writerows(wigner_to_csv_rows(w))
+        # the whole W as one row block, passed through the CSV writer
+        for _ in wigner_to_csv_rows([(slice(None), w.values, w.imaginary_residue)],
+                                    w.x_grid, w.p_grid, csv.writer(fh)):
+            pass
     print(f"wrote W(x,p) matrix to {sys.argv[1]}")

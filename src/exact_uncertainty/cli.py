@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,7 +69,7 @@ from .twoparticle import (
     nonclassical_components_2d,
     pair_moments,
 )
-from .wigner import wigner_to_csv_rows, wigner_transform, wigner_average_momentum
+from .wigner import wigner_row_moments, wigner_rows, wigner_to_csv_rows
 
 
 @dataclass(frozen=True)
@@ -333,22 +334,23 @@ def cmd_wigner(config: RunConfig, args) -> tuple[int, dict]:
     state = _load_state(args.state, config.constants())
     if state.family != "grid":
         raise ParseError("wigner needs a grid state")
-    w = wigner_transform(state)
-    marginal = w.position_marginal()
-    x, pav, mask = wigner_average_momentum(w, marginal)
+    grid, pgrid = state.grid, state.grid.conjugate_grid(state.constants.hbar)
+    # W's row blocks are reduced (and written out) one at a time; W is never held
+    with open(args.csv, "w", newline="") if args.csv else nullcontext() as fh:
+        blocks = wigner_rows(state)
+        if args.csv:
+            blocks = wigner_to_csv_rows(blocks, grid, pgrid, csv.writer(fh))
+        marginal, pav, mask, low, residue = wigner_row_moments(blocks, grid, pgrid)
     comp = classical_estimate(state, "position", "P")
     weighted = np.abs(pav - comp.values) * marginal
     doc = {
-        "total": float(np.sum(marginal) * w.x_grid.dx),
-        "imaginary_residue": w.imaginary_residue,
-        "min_value": float(w.values.min()),
+        "total": float(np.sum(marginal) * grid.dx),
+        "imaginary_residue": residue,
+        "min_value": low,
         "average_momentum_max_weighted_deviation": float(weighted[mask].max()),
-        "box_warning": w.box_warning,
+        "box_warning": state.box_warning(),
     }
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(wigner_to_csv_rows(w))
         doc["csv"] = args.csv
     return 0, doc
 

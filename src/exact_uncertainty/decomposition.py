@@ -192,7 +192,7 @@ def decomposition_summary(state, basis: str, observable: str) -> DecompositionSu
     mean, second = moments(state, observable)
     var_total = second - mean ** 2
     var_cl = comp.variance
-    min_err = second - comp.second_moment
+    min_err = max(second - comp.second_moment, 0.0)  # rounding can put <B_cl^2> above <B^2>
     var_nc = min_err  # <B_nc^2> with <B_nc> = 0
     residual = abs(var_total - var_cl - var_nc)
     return DecompositionSummary(var_total, var_cl, var_nc, residual, min_err)

@@ -147,6 +147,14 @@ class TestSummary:
         assert summ.var_classical == pytest.approx(0.0, abs=1e-12)
         assert summ.var_nonclassical == pytest.approx(0.0, abs=1e-12)
 
+    def test_variances_never_negative(self):
+        # rounding puts <N_cl^2> 3.6e-15 above <N^2> on |3> (n_max 8); the
+        # minimum error and nonclassical variance are clipped at 0 and the
+        # rounding shows in the additivity residual instead
+        summ = decomposition_summary(fock_basis_state(3, 8), "phase", "N")
+        assert summ.min_error == 0.0 and summ.var_nonclassical == 0.0
+        assert summ.additivity_residual < 1e-14
+
     def test_two_gaussian_superposition_additivity(self, grid):
         psi = (gaussian_state(grid, 1.0, center=-3.0, momentum=1.0).amplitudes
                + gaussian_state(grid, 0.8, center=3.0, momentum=-0.5).amplitudes)

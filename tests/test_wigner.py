@@ -1,10 +1,14 @@
+import argparse
+import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from exact_uncertainty import cli
 from exact_uncertainty.decomposition import classical_estimate
+from exact_uncertainty.densities import masked_ratio
 from exact_uncertainty.grids import GridSpec, fourier_interpolate
 from exact_uncertainty.random_states import random_smooth_grid_state
 from exact_uncertainty.states import (
@@ -201,6 +205,80 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * w.values.nbytes
+
+
+def whole_w_report(state, csv_path=None):
+    """The `wigner` report from the whole W of ``wigner_transform``; W's CSV
+    is written row by row to ``csv_path`` when one is given."""
+    w = wigner_transform(state)
+    marginal = np.sum(w.values, axis=1) * w.p_grid.dx
+    first = np.einsum("ij,j->i", w.values, w.p_grid.points()) * w.p_grid.dx
+    pav, mask, _ = masked_ratio(first, marginal, w.x_grid.dx, "position marginal")
+    weighted = np.abs(pav - classical_estimate(state, "position", "P").values) * marginal
+    if csv_path is not None:
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x\\p"] + [f"{p:.12g}" for p in w.p_grid.points()])
+            for xi, row in zip(w.x_grid.points(), w.values):
+                writer.writerow([f"{xi:.12g}"] + [f"{v:.12g}" for v in row])
+    return {
+        "total": float(np.sum(marginal) * w.x_grid.dx),
+        "imaginary_residue": w.imaginary_residue,
+        "min_value": float(w.values.min()),
+        "average_momentum_max_weighted_deviation": float(weighted[mask].max()),
+        "box_warning": w.box_warning,
+    }
+
+
+def wigner_report(state, monkeypatch, csv_path=None):
+    """``cli.cmd_wigner``'s report, handed ``state`` in place of a state file."""
+    monkeypatch.setattr(cli, "_load_state", lambda path, constants: state)
+    _, doc = cli.cmd_wigner(cli.RunConfig(), argparse.Namespace(state=None, csv=csv_path))
+    return doc
+
+
+class TestStreamedReport:
+    @staticmethod
+    def state(n, kind):
+        constants = Constants(hbar=0.7 if kind == "hbar-0.7" else 1.0)
+        grid = GridSpec(n, -20.0, 20.0)
+        rng = np.random.default_rng(n + 1)
+        pure = random_smooth_grid_state(rng, grid, constants)
+        if kind != "rank-2":
+            return pure
+        return GridMixedState.from_ensemble([(0.4, random_smooth_grid_state(rng, grid)),
+                                             (0.6, pure)])
+
+    # n = 1024 in the default 63-row blocks and a last one of 16; n = 200 in
+    # 7-row blocks and a last one of 4.  The blocks depend on n alone, so the
+    # 1024-point CSV (about a second to format) is compared for one state
+    @pytest.mark.parametrize("kind", ["pure", "rank-2", "hbar-0.7"])
+    @pytest.mark.parametrize("n", [200, 1024])
+    def test_equals_whole_w_report(self, n, kind, monkeypatch, tmp_path):
+        if n == 200:
+            monkeypatch.setattr(wigner, "SLICE_BLOCK_BYTES", 16 * (n // 2 + 1) * 7)
+        state = self.state(n, kind)
+        whole, streamed = tmp_path / "whole.csv", tmp_path / "streamed.csv"
+        exported = n == 200 or kind == "pure"
+        expected = whole_w_report(state, whole if exported else None)
+        assert wigner_report(state, monkeypatch) == expected
+        if exported:
+            assert wigner_report(state, monkeypatch, str(streamed)) == dict(expected,
+                                                                           csv=str(streamed))
+            assert streamed.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["pure", "rank-2"])
+    def test_peak_memory_is_under_half_of_w(self, kind, monkeypatch):
+        # the report holds one block of W's rows (and its slices), never W
+        n = 1024
+        state = self.state(n, kind)
+        tracemalloc.start()
+        try:
+            wigner_report(state, monkeypatch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * n * n * 8
 
 
 class TestAverageMomentum:
