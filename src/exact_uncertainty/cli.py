@@ -1,8 +1,8 @@
 """Command-line surface: run verification suites and demos, emit JSON reports.
 
-Exit codes: 0 all verdicts pass, 1 relation violation, 2 parse error,
-3 computation error.  Reports are deterministic for a fixed seed: keys are
-sorted and suites are assembled in a fixed order.
+Exit codes: 0 all verdicts pass, 1 relation violation, 2 parse error or
+unreadable input, 3 computation error.  Reports are deterministic for a
+fixed seed: keys are sorted and suites are assembled in a fixed order.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         code, report = COMMANDS[args.command](config, args)
         report["provenance"] = config.provenance()
         _emit(report, config)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except (ParseError, json.JSONDecodeError, OSError) as exc:  # OSError: unreadable input
         _emit({"error": str(exc), "kind": "parse"}, config)
         return 2
     except ExactUncertaintyError as exc:
@@ -269,12 +269,8 @@ def _run_suite(config: RunConfig, suite: str, n: int) -> list[RelationReport]:
     for family in SUITE_FAMILIES[suite]:
         for index in range(n):
             report = _suite_case(family, rng, grid, constants, config)
-            notes = dict(report.notes)
-            notes["state_index"] = index
-            notes["family"] = family
-            reports.append(RelationReport(report.relation_id, report.left, report.right,
-                                          report.residual, report.tolerance,
-                                          report.verdict, notes))
+            reports.append(replace(report, notes={**report.notes, "state_index": index,
+                                                  "family": family}))
     return reports
 
 
@@ -285,9 +281,8 @@ def _suite_case(family: str, rng, grid, constants, config: RunConfig) -> Relatio
     if family == "conjugate":
         # narrow center spread keeps the momentum density resolved on the
         # conjugate lattice (the mirror of the box-decay convention)
-        return verify_conjugate(random_smooth_grid_state(rng, grid, constants,
-                                                         center_spread=1.2),
-                                config.tol_grid)
+        state = random_smooth_grid_state(rng, grid, constants, center_spread=1.2)
+        return verify_conjugate(state, config.tol_grid)
     if family == "phase-angular":
         return verify_phase_angular(random_periodic_state(rng, constants=constants),
                                     config.tol_grid)

@@ -7,23 +7,32 @@ component is the function
 
 the estimate of B compatible with measuring A that minimizes the mean square
 error.  Its residual statistics define the nonclassical fluctuation strength
-entering the exact uncertainty relations.
+entering the exact uncertainty relations; a LineMeasurement holds everything
+a line or circle relation reads, each quantity formed once per report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .densities import masked_ratio
+from .densities import LineDensity, circle_density, floor_mask, masked_ratio
 from .errors import CutoffTooSmall, UnsupportedObservable
+from .fisher import (
+    FisherMetrics,
+    commutator_fisher_length,
+    fisher_length,
+    fisher_length_periodic,
+)
 from .grids import GridSpec, real_derivative_axis, spectral_derivative
 from .states import (
     Constants,
     GridPureState,
+    MixedState,
     PeriodicState,
+    density_moments,
     ensemble_sum,
     evolve_step,
     moment,
@@ -81,14 +90,31 @@ class PomObservable:
         return float(np.max(np.abs(total - np.eye(total.shape[0]))))
 
 
-def _masked_component(labels, state, terms, weight_measure, observable, basis):
-    """Assemble a ClassicalComponent from the member sums of ``terms``, a pure
-    state's stacked (numerator, density); labels with negligible density are
-    masked."""
-    numerator, density = ensemble_sum(state, terms)
-    values, mask, masked_mass = masked_ratio(numerator, density, weight_measure)
-    return ClassicalComponent(labels, values, density * weight_measure, mask,
-                              observable, basis, masked_mass)
+@dataclass(frozen=True)
+class LineMeasurement:
+    """One report's measurement of A on a line or circle, each quantity formed
+    once, for delta_A * Delta_B_nc against ``target`` = |dB/dj| / 2; for a
+    mixture on a line also both sides of the chain identity
+    hbar^2 / (4 delta_A^2) + <B_cl^2> = integral |<a|B rho|a>|^2 / p(a)."""
+
+    density: LineDensity            # p(a)
+    fisher: FisherMetrics           # of p(a)
+    classical: ClassicalComponent   # B_cl(a)
+    partner: tuple                  # (<B>, <B^2>)
+    target: float
+    mixed: bool
+    measured: tuple | None = None   # (<A>, <A^2>) on a line
+    chain: tuple | None = None      # (left side, right side)
+
+    @property
+    def partner_variance(self) -> float:
+        mean, second = self.partner
+        return second - mean ** 2
+
+    @property
+    def nonclassical_variance(self) -> float:
+        """<B_nc^2> = Var B - Var B_cl, clipped at 0 against rounding."""
+        return max(self.partner_variance - self.classical.variance, 0.0)
 
 
 def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent:
@@ -100,62 +126,109 @@ def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent
     """
     key = (basis, observable)
     kind = state.family
-    if kind == "grid" and key == ("position", "P"):
-        return _grid_momentum_estimate(state)
-    if kind == "grid" and key == ("momentum", "X"):
-        return _grid_position_estimate(state)
+    if kind == "grid" and key in (("position", "P"), ("momentum", "X")):
+        measured = state if basis == "position" else _reflected(state)
+        density, numerator = ensemble_sum(measured, partial(_line_terms, partner=False))[:2]
+        return _component(measured.grid.points(), numerator, density, measured.grid.dx,
+                          observable, basis)
     if (kind, *key) in (("periodic", "phase", "J"), ("fock", "phase", "N"),
                         ("fock", "extended-phase", "N")):
-        return _rotator_estimate(state)
+        return circle_measurement(state).classical
     raise UnsupportedObservable(f"no estimate of {observable} from {basis} "
                                 f"for a {kind} state")
 
 
-# Each estimate below sums <a|B rho + rho B|a> / 2 and <a|rho|a> over the
-# members of a mixture; for one member psi the numerator is Re[<psi|a><a|B|psi>].
+def _component(labels, numerator, density, measure, observable, basis) -> ClassicalComponent:
+    """B_cl from the member sums of <a|B rho + rho B|a> / 2 (for one member psi,
+    Re[<psi|a><a|B|psi>]) and of <a|rho|a>; negligible densities are masked."""
+    values, mask, masked_mass = masked_ratio(numerator, density, measure)
+    return ClassicalComponent(labels, values, density * measure, mask, observable, basis,
+                              masked_mass)
 
 
-def _grid_momentum_estimate(state) -> ClassicalComponent:
-    """P_cl(x); for pure psi this is hbar * Im[psi* psi'] / |psi|^2 (branch-free)."""
-    hbar = state.constants.hbar
-    grid = state.grid
-
-    def terms(member):
-        psi = member.amplitudes
-        dpsi = spectral_derivative(psi, grid)
-        return np.array([hbar * np.imag(np.conj(psi) * dpsi), np.abs(psi) ** 2])
-
-    return _masked_component(grid.points(), state, terms, grid.dx, "P", "position")
-
-
-def _grid_position_estimate(state) -> ClassicalComponent:
-    """X_cl(p) in the momentum representation (X acts as +i*hbar d/dp)."""
-    hbar = state.constants.hbar
-    pgrid = state.grid.conjugate_grid(hbar)
-
-    def terms(member):
-        phi = to_momentum(member).amplitudes
-        dphi = spectral_derivative(phi, pgrid)
-        return np.array([-hbar * np.imag(np.conj(phi) * dphi), np.abs(phi) ** 2])
-
-    return _masked_component(pgrid.points(), state, terms, pgrid.dx, "X", "momentum")
+def _line_terms(member, partner: bool) -> tuple:
+    """One member's terms on its lattice, from one forward FFT: |psi|^2,
+    hbar Im[psi* psi'], psi' psi*, the moments of the lattice coordinate and,
+    when ``partner``, the momentum's from |psi~|^2 of the same spectrum."""
+    grid, hbar, psi = member.grid, member.constants.hbar, member.amplitudes
+    spectrum = np.fft.fft(psi)
+    dpsi, conj = spectral_derivative(psi, grid, spectrum=spectrum), np.conj(psi)
+    density = np.abs(psi) ** 2
+    # psi* psi' and psi' psi* can differ in the last bit of the imaginary part
+    # (fused multiply-adds); each keeps the order its quantity has been formed in
+    terms = (density, hbar * np.imag(conj * dpsi), dpsi * conj,
+             np.array(density_moments(grid.points(), density, grid.dx)))
+    if not partner:
+        return terms
+    p_density = np.abs(to_momentum(member, spectrum).amplitudes) ** 2
+    return terms + (np.array(density_moments(grid.conjugate_grid(hbar).points(), p_density,
+                                             grid.momentum_spacing(hbar))),)
 
 
-def _rotator_estimate(state, m: int | None = None) -> ClassicalComponent:
-    """B_cl(phi) = (dB/dj) Im[f* f'] / |f|^2 on the phase grid for the label
-    observable B: J_cl = hbar * Im[f* f'] / |f|^2 on a rotator, and
-    N_cl = -Im[f* f'] / |f|^2 in Fock space, where N = n = -j; on m phase
-    points, by default the state's own number."""
-    slope = state.slope
+def _reflected(state):
+    """conj(psi~) of each member on the momentum lattice: its position is p,
+    its momentum is x, and its P_cl(p) = -hbar Im[psi~* psi~'] / |psi~|^2 is
+    X_cl(p) of psi."""
+    def reflect(member):
+        phi = to_momentum(member)
+        return replace(phi, amplitudes=np.conj(phi.amplitudes))
+
+    if isinstance(state, MixedState):
+        return MixedState(state.weights, tuple(reflect(m) for m in state.members))
+    return reflect(state)
+
+
+def line_measurement(state, conjugate: bool = False) -> LineMeasurement:
+    """The measurement of X on a grid state or mixture, <P> and <P^2> from the
+    transform that gives psi' (one forward FFT per member); when ``conjugate``,
+    that of the reflected state (:func:`_reflected`), <X> and <X^2> from |psi|^2.
+    A mixture's Fisher length takes the commutator form for X, and for P comes
+    from the density, whose derivative alone (the reflected members are exactly
+    band-limited) shows a lattice too coarse for the momentum density."""
+    measured = _reflected(state) if conjugate else state
+    grid, hbar = measured.grid, measured.constants.hbar
+    mixed = isinstance(state, MixedState)
+    sums = ensemble_sum(measured, partial(_line_terms, partner=not conjugate))
+    density, numerator, z, moments_a = sums[:4]
+    line = LineDensity(grid, density)
+    fisher = (commutator_fisher_length(line, 2.0 * np.real(z)) if mixed and not conjugate
+              else fisher_length(line))
+    # P_cl = hbar Im[psi* psi'] / |psi|^2, branch-free; X_cl(p) of psi when conjugate
+    classical = _component(grid.points(), numerator, density, grid.dx,
+                           *(("X", "momentum") if conjugate else ("P", "position")))
+    chain = None
+    if mixed:
+        # <x|P rho|x> = -i hbar d/dx rho(x, x') at x' = x = -i hbar sum_i w_i psi_i' psi_i*
+        q = -1j * hbar * z
+        mask = floor_mask(density)
+        chain = (hbar ** 2 / (4.0 * fisher.fisher_length ** 2) + classical.second_moment,
+                 float(np.sum(np.abs(q[mask]) ** 2 / density[mask]) * grid.dx))
+    partner = moments(state, "X") if conjugate else sums[4]
+    return LineMeasurement(line, fisher, classical, tuple(float(v) for v in partner),
+                           0.5 * hbar, mixed, tuple(float(v) for v in moments_a), chain)
+
+
+def _circle_terms(member, m: int) -> tuple:
+    """One member's |f|^2, (dB/dj) Im[f* f'] and label moments on m phase points."""
+    f = member.phase_samples(m)
+    df = member.phase_samples(m, weights=1j * member.j_values)
+    return (np.abs(f) ** 2, member.slope * np.imag(np.conj(f) * df),
+            np.array(density_moments(member.slope * member.j_values,
+                                     np.abs(member.amplitudes) ** 2, 1.0)))
+
+
+def circle_measurement(state, m: int | None = None) -> LineMeasurement:
+    """The measurement of the phase of a circle state or mixture on m points
+    (by default its own number), with B_cl(phi) = (dB/dj) Im[f* f'] / |f|^2:
+    J_cl = hbar Im[f* f'] / |f|^2 and N_cl = -Im[f* f'] / |f|^2 (N = n = -j)."""
     m = m or state.default_phase_points()
-
-    def terms(member):
-        f = member.phase_samples(m)
-        df = member.phase_samples(m, weights=1j * member.j_values)
-        return np.array([slope * np.imag(np.conj(f) * df), np.abs(f) ** 2])
-
-    return _masked_component(state.phase_grid(m), state, terms,
-                             2.0 * np.pi / m, state.observable, "phase")
+    density, numerator, partner = ensemble_sum(state, partial(_circle_terms, m=m))
+    circle = circle_density(density)
+    fisher = fisher_length_periodic(circle)
+    classical = _component(state.phase_grid(m), numerator, density, 2.0 * np.pi / m,
+                           state.observable, "phase")
+    return LineMeasurement(circle, fisher, classical, tuple(float(v) for v in partner),
+                           0.5 * abs(state.slope), isinstance(state, MixedState))
 
 
 def estimate_error(state, candidate, basis: str, observable: str) -> float:
@@ -241,7 +314,7 @@ def _extended_pom(state: PeriodicState, cutoff: int):
     m_grid = 1 << max(12, int(np.ceil(np.log2(16 * dim))))
 
     # N*_cl(phi) of the embedded physical state
-    comp = _rotator_estimate(state, m_grid)
+    comp = circle_measurement(state, m_grid).classical
     ncl, mask = comp.values, comp.mask
     if not mask.all():
         # fill masked points by interpolation so the Fourier analysis of
@@ -288,17 +361,15 @@ def continuity_residual(state, potential, dt: float) -> float:
     if not isinstance(state, (GridPureState, PeriodicState)):
         raise UnsupportedObservable(f"no continuity equation for {type(state).__name__}")
     c = state.constants
-    if state.family == "grid":
-        grid, speed, density = state.grid, c.hbar / c.mass, GridPureState.position_density
-        f = state.amplitudes
-        df = spectral_derivative(f, grid)
-    else:  # the phase samples on the periodic lattice [0, 2*pi)
+    if state.family == "grid":  # the flux p v_cl = P_cl |psi|^2 / mass
+        grid, inertia, density = state.grid, c.mass, GridPureState.position_density
+        flux = _line_terms(state, partner=False)[1]
+    else:  # on the phase samples, the periodic lattice [0, 2*pi)
         m = state.default_phase_points()
-        grid, speed = GridSpec(m, 0.0, 2.0 * np.pi), c.hbar / c.moment_of_inertia
-        f = state.phase_samples(m)
-        df = state.phase_samples(m, weights=1j * state.j_values)
+        grid, inertia = GridSpec(m, 0.0, 2.0 * np.pi), c.moment_of_inertia
+        flux = _circle_terms(state, m)[1]
         density = partial(PeriodicState.phase_density, m=m)
-    div = real_derivative_axis(speed * np.imag(np.conj(f) * df), grid, axis=0)
+    div = real_derivative_axis(flux / inertia, grid, axis=0)
     fwd = evolve_step(state, potential, dt)
     bwd = evolve_step(state, potential, -dt)
     dpdt = (density(fwd) - density(bwd)) / (2.0 * dt)

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import (
-    MASKED_MASS_LIMIT,
-    DiscreteDistribution,
-    LineDensity,
-    PlaneDensity,
-    floor_mask,
-)
+from .densities import MASKED_MASS_LIMIT, DiscreteDistribution, LineDensity, PlaneDensity
 from .errors import SingularInformation, UnstableStep, VanishingDensity
 from .grids import (
     GridSpec,
@@ -146,25 +140,25 @@ def _spectral_metrics(p: np.ndarray, dp: np.ndarray, grid: GridSpec, mask: np.nd
 
 
 def fisher_length_mixed(state: MixedState) -> FisherMetrics:
-    """Fisher length of the position density of a grid mixture.
-
-    Uses the commutator representation: <x|[P,rho]|x> = -i*hbar * d/dx of the
-    diagonal density, here sum_i w_i 2 Re[psi_i' psi_i*] over the members
-    with spectral psi_i'.  Agrees with fisher_length of the diagonal for
-    smooth states.
-    """
+    """Fisher length of the position density of a grid mixture, in the
+    commutator form (:func:`commutator_fisher_length`) with spectral psi_i'."""
     grid = state.grid
     comm_diag = ensemble_sum(state, lambda s: 2.0 * np.real(
         spectral_derivative(s.amplitudes, grid) * np.conj(s.amplitudes)))
-    p = state.position_density()
-    total = float(np.sum(p) * grid.dx)
-    p = p / total
-    dp = comm_diag / total
-    mask = floor_mask(p)
-    masked_mass = float(np.sum(p[~mask]) * grid.dx)
+    return commutator_fisher_length(LineDensity(grid, state.position_density()), comm_diag)
+
+
+def commutator_fisher_length(density: LineDensity, derivative: np.ndarray) -> FisherMetrics:
+    """Fisher length of a mixture's line density p, whose p' is given in the
+    commutator form <x|[P,rho]|x> / (-i*hbar) = sum_i w_i 2 Re[psi_i' psi_i*];
+    it agrees with fisher_length of p for smooth states."""
+    total = density.total
+    density = density.normalized()
+    masked_mass = density.masked_mass()
     if masked_mass > MASKED_MASS_LIMIT:
         raise VanishingDensity("more than 20% of mass on masked points")
-    return _spectral_metrics(p, dp, grid, mask, masked_mass)
+    return _spectral_metrics(density.values, derivative / total, density.grid, density.mask(),
+                             masked_mass)
 
 
 def phase_variance(density: LineDensity, theta: float) -> float:

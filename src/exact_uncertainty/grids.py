@@ -55,18 +55,20 @@ class GridSpec:
         return GridSpec(self.n_points, -half * dp, half * dp)
 
 
-def spectral_derivative(values, grid: GridSpec, order: int = 1) -> np.ndarray:
-    """Differentiate samples of a periodic (or box-decayed) function.
+def spectral_derivative(values, grid: GridSpec, order: int = 1, spectrum=None) -> np.ndarray:
+    """Differentiate samples of a periodic (or box-decayed) function; from
+    ``spectrum``, their ``np.fft.fft``, when the caller has formed it.
 
     Exact for band-limited inputs.  The Nyquist mode is zeroed for odd
     orders, where its derivative is not representable on the grid.
     """
-    values = np.asarray(values, dtype=complex)
+    if spectrum is None:
+        spectrum = np.fft.fft(np.asarray(values, dtype=complex))
     k = grid.wavenumbers()
     mult = (1j * k) ** order
     if order % 2 == 1:
         mult[grid.n_points // 2] = 0.0
-    return np.fft.ifft(mult * np.fft.fft(values))
+    return np.fft.ifft(mult * spectrum)
 
 
 def spectral_derivative_axis(values, grid: GridSpec, axis: int, out=None) -> np.ndarray:

@@ -9,35 +9,21 @@ report ever multiplies an infinity by a number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .decomposition import classical_estimate
-from .densities import LineDensity, circle_density, floor_mask
+from .decomposition import LineMeasurement, circle_measurement, line_measurement
+from .densities import circle_density
 from .errors import VanishingDensity
 from .fisher import (
-    FINITE,
     INFINITE_BY_UNIFORMITY,
     ZERO_BY_DISCONTINUITY,
     circular_mean,
-    fisher_length,
-    fisher_length_mixed,
     fisher_length_periodic,
     phase_variance,
 )
-from .grids import spectral_derivative
-from .states import (
-    FiniteState,
-    GridPureState,
-    MixedState,
-    embed_in_larger_box,
-    ensemble_sum,
-    momentum_density,
-    moments,
-    to_momentum,
-    variance,
-)
+from .states import FiniteState, MixedState, embed_in_larger_box
 
 TOL_GRID = 1e-6     # grid relations at n_points = 1024
 TOL_FINITE = 1e-10  # finite-dimensional linear algebra
@@ -64,8 +50,8 @@ class RelationReport:
         return self.verdict in (EQUALITY, INEQUALITY, FLAGGED)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        return _jsonable(doc)
+        # _jsonable builds fresh containers, so no deep copy is needed first
+        return _jsonable({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _jsonable(obj):
@@ -88,37 +74,70 @@ def _jsonable(obj):
     return obj
 
 
-def _equality_verdict(left: float, right: float, tol: float):
-    residual = abs(left - right) / abs(right)
-    return residual, (EQUALITY if residual <= tol else VIOLATED)
+def _verdict(left: float, right: float, tol: float, lower_bound: bool):
+    """(residual, verdict) of left = right, or of the one-sided check
+    left >= right - tol*|right| when ``lower_bound``."""
+    residual = (max(0.0, right - left) if lower_bound else abs(left - right)) / abs(right)
+    return residual, (VIOLATED if residual > tol else INEQUALITY if lower_bound else EQUALITY)
 
 
-def _lower_bound_verdict(left: float, right: float, tol: float):
-    """One-sided check left >= right - tol*|right|."""
-    residual = max(0.0, right - left) / abs(right)
-    return residual, (INEQUALITY if residual <= tol else VIOLATED)
+def relation_report(record: LineMeasurement, relation_id: str, tol: float,
+                    notes: dict) -> RelationReport:
+    """The verdict on delta_A * Delta_B_nc against |dB/dj| / 2 for one
+    measurement: equality for a pure state, a lower bound for a mixture, and
+    on a line every link of a mixture's chain checked.  ``notes`` holds the
+    relation's own notes and gains the shared ones."""
+    fm, target = record.fisher, record.target
+    notes["fisher_flag"] = fm.divergence_flag
+    notes.setdefault("warnings", [])
+    if fm.divergence_flag == INFINITE_BY_UNIFORMITY:  # a uniform circle density
+        var_nc = record.nonclassical_variance
+        notes["flag"] = fm.divergence_flag
+        notes["partner_nonclassical_variance"] = var_nc
+        flagged = var_nc <= max(tol, 1e-8) * max(1.0, record.partner_variance)
+        return RelationReport(relation_id, float("inf") if flagged else 0.0, target, 0.0, tol,
+                              FLAGGED if flagged else VIOLATED, notes)
+    if fm.divergence_flag == ZERO_BY_DISCONTINUITY:
+        notes["flag"] = fm.divergence_flag
+        if record.chain is None:  # a mixture on a line reports the flag alone
+            notes["partner_divergent"] = True
+        return RelationReport(relation_id, fm.fisher_length, target, 0.0, tol, FLAGGED, notes)
+
+    left = fm.fisher_length * float(np.sqrt(record.nonclassical_variance))
+    residual, verdict = _verdict(left, target, tol, lower_bound=record.mixed)
+    if record.chain is not None:  # LineMeasurement's identity, and rhs <= <B^2>
+        (lhs, rhs), second = record.chain, record.partner[1]
+        link1_residual = abs(lhs - rhs) / abs(rhs)
+        notes.update(chain_identity_lhs=lhs, chain_identity_rhs=rhs,
+                     chain_identity_residual=link1_residual, chain_second_moment=second,
+                     chain_slack=second - rhs, **_heisenberg_notes(record, tol))
+        if link1_residual > tol or second - rhs < -tol * abs(second):
+            verdict, residual = VIOLATED, max(residual, link1_residual)
+    return RelationReport(relation_id, left, target, residual, tol, verdict, notes)
+
+
+def _heisenberg_notes(record: LineMeasurement, tol: float) -> dict:
+    mean, second = record.measured
+    heis = float(np.sqrt((second - mean ** 2) * record.partner_variance))
+    return {"heisenberg_product": heis,
+            "heisenberg_satisfied": bool(heis >= record.target * (1 - tol))}
 
 
 # ---------------------------------------------------------------------------
-# position-momentum
+# position-momentum and its conjugate
 
 
 def verify_position_momentum(state, tol: float = TOL_GRID) -> RelationReport:
-    """delta_X * Delta_P_nc: equality hbar/2 for pure states, >= for mixed.
-
-    For mixed states every link of the chain
-    hbar^2/(4 dX^2) + <P_cl^2> = int |<x|P rho|x>|^2 / <x|rho|x>  <=  <P^2>
-    is verified separately and recorded in the notes.
-    """
+    """delta_X * Delta_P_nc: equality hbar/2 for pure states, >= for mixed,
+    with every link of a mixture's chain checked (:func:`relation_report`)."""
     if state.family != "grid":
         raise TypeError("verify_position_momentum needs a grid state")
-    if isinstance(state, MixedState):
-        return _verify_mixed_grid(state, conjugate=False, tol=tol)
-    return _verify_pure_grid(state, conjugate=False, tol=tol)
+    return _line_report(state, False, tol)
 
 
 def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
-    """Delta_X_nc * delta_P >= hbar/2, saturated by pure states.
+    """Delta_X_nc * delta_P >= hbar/2, saturated by pure states: the xp
+    relation of the reflected state conj(psi~), whose position is p.
 
     The momentum lattice must resolve the momentum density's structure.  So
     a `violated` verdict on a box-contained state is checked once more in a
@@ -128,14 +147,12 @@ def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
     """
     if state.family != "grid":
         raise TypeError("verify_conjugate needs a grid state")
-    mixed = isinstance(state, MixedState)
-    verify = _verify_mixed_grid if mixed else _verify_pure_grid
-    report = verify(state, conjugate=True, tol=tol)
+    report = _line_report(state, True, tol)
     if report.verdict != VIOLATED or "BoxTooSmall" in report.notes["warnings"]:
         return report
     wider = (MixedState(state.weights, tuple(embed_in_larger_box(m, 2) for m in state.members))
-             if mixed else embed_in_larger_box(state, 2))
-    refined = verify(wider, conjugate=True, tol=tol)
+             if isinstance(state, MixedState) else embed_in_larger_box(state, 2))
+    refined = _line_report(wider, True, tol)
     refined.notes["resolution_study"] = {
         "n_points": [report.notes["n_points"], refined.notes["n_points"]],
         "fisher_length": [report.notes["fisher_length"], refined.notes["fisher_length"]],
@@ -144,115 +161,22 @@ def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
     return refined
 
 
-def _line_measurement(state: GridPureState):
-    """(Fisher metrics of |psi|^2, P_cl, Var X, Var P) of a pure line state:
-    the measurement behind the xp and time-frequency reports."""
-    fm = fisher_length(LineDensity(state.grid, state.position_density()))
-    return (fm, classical_estimate(state, "position", "P"), variance(state, "X"),
-            variance(state, "P"))
-
-
-def _verify_pure_grid(state: GridPureState, conjugate: bool, tol: float) -> RelationReport:
-    hbar = state.constants.hbar
-    if conjugate:
-        # literal mirror: the momentum lattice must resolve the momentum
-        # density's structure (interference oscillations have period
-        # 2*pi*hbar / lump separation), just as the box convention demands
-        # of the position side
-        rel_id = "conjugate"
-        working = to_momentum(state)
-        fm = fisher_length(LineDensity(working.grid, np.abs(working.amplitudes) ** 2))
-        comp = classical_estimate(state, "momentum", "X")
-        var_x, var_p = variance(state, "X"), variance(state, "P")
-        var_b = var_x
-    else:
-        rel_id = "xp"
-        fm, comp, var_x, var_p = _line_measurement(state)
-        var_b = var_p
-
-    var_nc = var_b - comp.variance
-    delta_nc = float(np.sqrt(max(var_nc, 0.0)))
-    notes = _grid_notes(state, fm, comp)
-    notes["nonclassical_spread"] = delta_nc
-    notes["total_spread"] = float(np.sqrt(var_b))
-
-    heis = float(np.sqrt(var_x * var_p))
-    notes["heisenberg_product"] = heis
-    notes["heisenberg_satisfied"] = bool(heis >= 0.5 * hbar * (1 - tol))
-
-    if fm.divergence_flag == ZERO_BY_DISCONTINUITY:
-        notes["flag"] = fm.divergence_flag
-        notes["partner_divergent"] = True
-        return RelationReport(rel_id, fm.fisher_length, 0.5 * hbar, 0.0, tol, FLAGGED, notes)
-
-    left = fm.fisher_length * delta_nc
-    residual, verdict = _equality_verdict(left, 0.5 * hbar, tol)
-    return RelationReport(rel_id, left, 0.5 * hbar, residual, tol, verdict, notes)
-
-
-def _verify_mixed_grid(state: MixedState, conjugate: bool, tol: float) -> RelationReport:
-    hbar = state.constants.hbar
-    grid = state.grid
-    if conjugate:
-        rel_id = "conjugate-mixed"
-        fm = fisher_length(LineDensity(grid.conjugate_grid(hbar), momentum_density(state)[1]))
-        comp = classical_estimate(state, "momentum", "X")
-        var_b = variance(state, "X")
-    else:
-        rel_id = "xp-mixed"
-        fm = fisher_length_mixed(state)
-        comp = classical_estimate(state, "position", "P")
-        p_mean, p_second = moments(state, "P")
-        var_b = p_second - p_mean ** 2
-    delta_nc = float(np.sqrt(max(var_b - comp.variance, 0.0)))
-
-    notes = _grid_notes(state, fm, comp)
-    notes["nonclassical_spread"] = delta_nc
-    if fm.divergence_flag != FINITE:
-        notes["flag"] = fm.divergence_flag
-        return RelationReport(rel_id, fm.fisher_length, 0.5 * hbar, 0.0, tol, FLAGGED, notes)
-
-    left = fm.fisher_length * delta_nc
-    residual, verdict = _lower_bound_verdict(left, 0.5 * hbar, tol)
-    if conjugate:
-        return RelationReport(rel_id, left, 0.5 * hbar, residual, tol, verdict, notes)
-
-    # <x|P rho|x> = -i hbar d/dx rho(x, x') at x' = x = -i hbar sum_i w_i psi_i' psi_i*
-    q = -1j * hbar * ensemble_sum(
-        state, lambda s: spectral_derivative(s.amplitudes, grid) * np.conj(s.amplitudes))
-    p_diag = state.position_density()
-    mask = floor_mask(p_diag)
-    chain_rhs = float(np.sum(np.abs(q[mask]) ** 2 / p_diag[mask]) * grid.dx)
-    chain_lhs = hbar ** 2 / (4.0 * fm.fisher_length ** 2) + comp.second_moment
-    link1_residual = abs(chain_lhs - chain_rhs) / abs(chain_rhs)
-    link2_slack = p_second - chain_rhs
-    notes["chain_identity_lhs"] = chain_lhs
-    notes["chain_identity_rhs"] = chain_rhs
-    notes["chain_identity_residual"] = link1_residual
-    notes["chain_second_moment"] = p_second
-    notes["chain_slack"] = link2_slack
-
-    heis = float(np.sqrt(variance(state, "X") * var_b))
-    notes["heisenberg_product"] = heis
-    notes["heisenberg_satisfied"] = bool(heis >= 0.5 * hbar * (1 - tol))
-    if link1_residual > tol or link2_slack < -tol * abs(p_second):
-        verdict = VIOLATED
-        residual = max(residual, link1_residual)
-    return RelationReport(rel_id, left, 0.5 * hbar, residual, tol, verdict, notes)
-
-
-def _grid_notes(state, fm, comp) -> dict:
+def _line_report(state, conjugate: bool, tol: float) -> RelationReport:
+    """The xp (or conjugate) report; its lattice notes are those of ``state``."""
+    record = line_measurement(state, conjugate)
     notes = {
         "n_points": state.grid.n_points,
         "dx": state.grid.dx,
-        "fisher_length": fm.fisher_length if np.isfinite(fm.fisher_length) else "inf",
-        "fisher_flag": fm.divergence_flag,
-        "masked_mass": comp.masked_mass,
-        "warnings": [],
+        "fisher_length": record.fisher.fisher_length,  # finite on a line
+        "masked_mass": record.classical.masked_mass,
+        "nonclassical_spread": float(np.sqrt(record.nonclassical_variance)),
+        "warnings": ["BoxTooSmall"] if state.box_warning() else [],
     }
-    if state.box_warning():
-        notes["warnings"].append("BoxTooSmall")
-    return notes
+    if not record.mixed:
+        notes["total_spread"] = float(np.sqrt(record.partner_variance))
+        notes.update(_heisenberg_notes(record, tol))
+    relation_id = ("conjugate" if conjugate else "xp") + ("-mixed" if record.mixed else "")
+    return relation_report(record, relation_id, tol, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -274,64 +198,36 @@ def verify_phase_number(state, tol: float = TOL_FOCK) -> RelationReport:
 
 
 def _verify_circle(state, family: str, rel_id: str, tol: float) -> RelationReport:
-    """delta_Phi * Delta_B_nc against |dB/dj| / 2 for a ``family`` state's label observable B."""
+    """delta_Phi * Delta_B_nc against |dB/dj| / 2 for a ``family`` state's label
+    observable B, and the corollary Delta_Phi * Delta_B >= |1 - 2 pi p(theta + pi)| |dB/dj| / 2."""
     if state.family != family:
         raise TypeError(f"{rel_id} needs a {family} state")
-    observable, target = state.observable, 0.5 * abs(state.slope)
     m = state.default_phase_points()
-    dens = circle_density(state.phase_density(m))
-    fm = fisher_length_periodic(dens)
-    comp = classical_estimate(state, "phase", observable)
-    var_b = variance(state, observable)
-    var_cl = comp.variance
-    var_nc = max(var_b - var_cl, 0.0)
-    delta_nc = float(np.sqrt(var_nc))
-
-    # quadrature-resolution study: same quantities on the doubled phase grid
+    record = circle_measurement(state, m)
+    # quadrature-resolution study: the Fisher length on the doubled phase grid
     fm2 = fisher_length_periodic(circle_density(state.phase_density(2 * m)))
 
+    dens, var_b = record.density, record.partner_variance
     theta = circular_mean(dens)
-    var_theta = phase_variance(dens, theta)
     normalized = dens.normalized()
     opposite = np.interp(theta + np.pi, normalized.grid.points(), normalized.values,
                          period=2.0 * np.pi)
-    corollary_rhs = abs(1.0 - 2.0 * np.pi * opposite) * target
-    corollary_lhs = float(np.sqrt(var_theta * var_b))
-
+    corollary_rhs = abs(1.0 - 2.0 * np.pi * opposite) * record.target
+    corollary_lhs = float(np.sqrt(phase_variance(dens, theta) * var_b))
     notes = {
         "phase_points": m,
-        "fisher_flag": fm.divergence_flag,
-        "masked_mass": comp.masked_mass,
+        "masked_mass": record.classical.masked_mass,
         "variance_total": var_b,
-        "variance_classical": var_cl,
-        "resolution_study": {
-            "fisher_length": [fm.fisher_length, fm2.fisher_length],
-        },
+        "variance_classical": record.classical.variance,
+        "resolution_study": {"fisher_length": [record.fisher.fisher_length, fm2.fisher_length]},
         "corollary_lhs": corollary_lhs,
         "corollary_rhs": corollary_rhs,
         "corollary_satisfied": bool(corollary_lhs >= corollary_rhs * (1 - tol) - 1e-12),
-        "warnings": [],
     }
-
-    if fm.divergence_flag == INFINITE_BY_UNIFORMITY:
-        notes["flag"] = fm.divergence_flag
-        notes["partner_nonclassical_variance"] = var_nc
-        verdict = FLAGGED if var_nc <= max(tol, 1e-8) * max(1.0, var_b) else VIOLATED
-        return RelationReport(rel_id, float("inf") if verdict == FLAGGED else 0.0,
-                              target, 0.0, tol, verdict, notes)
-    if fm.divergence_flag == ZERO_BY_DISCONTINUITY:
-        notes["flag"] = fm.divergence_flag
-        notes["partner_divergent"] = True
-        return RelationReport(rel_id, fm.fisher_length, target, 0.0, tol, FLAGGED, notes)
-
-    left = fm.fisher_length * delta_nc
-    if not isinstance(state, MixedState):
-        residual, verdict = _equality_verdict(left, target, tol)
-    else:
-        residual, verdict = _lower_bound_verdict(left, target, tol)
-    if not notes["corollary_satisfied"]:
-        verdict = VIOLATED
-    return RelationReport(rel_id, left, target, residual, tol, verdict, notes)
+    report = relation_report(record, rel_id, tol, notes)
+    if report.verdict != FLAGGED and not notes["corollary_satisfied"]:
+        return replace(report, verdict=VIOLATED)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +301,8 @@ def verify_general(state, a_observable: np.ndarray,
     left = delta_ba * delta_nc
     # saturation needs every eigenlabel populated: a zero-probability label
     # still carries |<a|B psi>|^2 weight that the retained sum cannot see
-    if state.purity > 1.0 - 1e-12 and not np.any(zero):
-        residual, verdict = _equality_verdict(left, 0.5 * hbar, tol)
-    else:
-        residual, verdict = _lower_bound_verdict(left, 0.5 * hbar, tol)
+    saturated = state.purity > 1.0 - 1e-12 and not np.any(zero)
+    residual, verdict = _verdict(left, 0.5 * hbar, tol, lower_bound=not saturated)
     return RelationReport("general", left, 0.5 * hbar, residual, tol, verdict, notes)
 
 

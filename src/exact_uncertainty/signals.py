@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import classical_estimate
+from .decomposition import classical_estimate, line_measurement
 from .errors import ParseError
-from .fisher import ZERO_BY_DISCONTINUITY
 from .grids import GridSpec
-from .relations import FLAGGED, RelationReport, _equality_verdict, _line_measurement
+from .relations import RelationReport, relation_report
 from .states import Constants, GridPureState
 
 
@@ -119,30 +118,19 @@ def verify_time_frequency(signal: SignalRecord, tol: float = 1e-6) -> RelationRe
     under refinement, with the spectral variance divergent), mirroring the
     position-momentum verifier.
     """
-    fm, comp, var_t, var_f = _line_measurement(signal.as_state())
-    var_inst = comp.variance
-    fluc = float(np.sqrt(max(var_f - var_inst, 0.0)))
-    target = 1.0 / (4.0 * np.pi)
-
+    record = line_measurement(signal.as_state())
+    (mean_t, second_t), var_f = record.measured, record.partner_variance
+    heis = float(np.sqrt(var_f) * np.sqrt(max(second_t - mean_t ** 2, 0.0)))
     notes = {
         "n_samples": signal.grid.n_points,
         "dt": signal.dt,
-        "fisher_time": fm.fisher_length,
-        "fisher_flag": fm.divergence_flag,
+        "fisher_time": record.fisher.fisher_length,
         "var_frequency": var_f,
-        "var_instantaneous": var_inst,
-        "heisenberg_product": float(np.sqrt(var_f) * np.sqrt(max(var_t, 0.0))),
-        "warnings": [],
+        "var_instantaneous": record.classical.variance,
+        "heisenberg_product": heis,
+        "heisenberg_satisfied": bool(heis >= record.target * (1 - tol)),
     }
-    notes["heisenberg_satisfied"] = bool(notes["heisenberg_product"] >= target * (1 - tol))
-    if fm.divergence_flag == ZERO_BY_DISCONTINUITY:
-        notes["flag"] = fm.divergence_flag
-        notes["partner_divergent"] = True
-        return RelationReport("time-frequency", fm.fisher_length, target, 0.0, tol,
-                              FLAGGED, notes)
-    left = fm.fisher_length * fluc
-    residual, verdict = _equality_verdict(left, target, tol)
-    return RelationReport("time-frequency", left, target, residual, tol, verdict, notes)
+    return relation_report(record, "time-frequency", tol, notes)
 
 
 def gaussian_pulse(grid: GridSpec, width: float, center: float = 0.0,

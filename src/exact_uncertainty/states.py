@@ -289,15 +289,17 @@ GridMixedState = MixedState  # the name grid mixtures were built under
 
 def ensemble_sum(state, quantity):
     """quantity(state) for a pure state; sum_i w_i quantity(psi_i) over the
-    members of a MixedState, which is exact for any quantity linear in rho."""
+    members of a MixedState, which is exact for any quantity linear in rho.
+    A tuple-valued quantity is summed entry by entry."""
     if not isinstance(state, MixedState):
         return quantity(state)
-    total = 0.0
+    totals = None
     for weight, member in zip(state.weights, state.members):
-        # the member's fresh array first: numpy then reuses it for the product
-        # and the sum, so an array-valued sum holds two arrays, not three
-        total = total + quantity(member) * weight
-    return total
+        value = quantity(member)
+        terms = value if isinstance(value, tuple) else (value,)
+        totals = [(0.0 if totals is None else total) + term * weight
+                  for total, term in zip(totals or terms, terms)]
+    return tuple(totals) if isinstance(value, tuple) else totals[0]
 
 
 def _density_eigh(mat: np.ndarray, measure: float, hermitian_tol: float, vectors: bool = True):
@@ -331,9 +333,15 @@ class FiniteState:
 
     @classmethod
     def from_vector(cls, vec) -> "FiniteState":
+        """v v^dagger / |v|^2: Hermitian positive semidefinite by construction,
+        so only v is checked (finite, nonzero, dimension >= 2; a NaN fails)."""
         v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
+        norm = float(np.linalg.norm(v))
+        if not (v.ndim == 1 and v.size >= 2 and 0.0 < norm < np.inf):
+            raise ValueError("need a finite, nonzero vector of dimension >= 2")
+        state, v = object.__new__(cls), v / norm  # no eigenvalue test in __post_init__
+        object.__setattr__(state, "matrix", np.outer(v, v.conj()))
+        return state
 
     @property
     def dimension(self) -> int:
@@ -400,8 +408,9 @@ def embed_in_larger_box(state: GridPureState, factor: int = 4) -> GridPureState:
     return GridPureState(big, amps, state.constants)
 
 
-def to_momentum(state: GridPureState) -> GridPureState:
-    """Momentum-representation wavefunction on the conjugate lattice.
+def to_momentum(state: GridPureState, spectrum=None) -> GridPureState:
+    """Momentum-representation wavefunction on the conjugate lattice; from
+    ``spectrum``, the ``np.fft.fft`` of the amplitudes, when already formed.
 
     Convention P = -i*hbar*d/dx, so psi~(p) = (2*pi*hbar)**-0.5 *
     integral psi(x) e^{-i p x / hbar} dx; Parseval holds exactly on the grid.
@@ -410,7 +419,8 @@ def to_momentum(state: GridPureState) -> GridPureState:
     grid = state.grid
     k = grid.wavenumbers()
     phases = np.exp(-1j * k * grid.x_min)
-    tilde = grid.dx / np.sqrt(2.0 * np.pi * hbar) * phases * np.fft.fft(state.amplitudes)
+    spectrum = np.fft.fft(state.amplitudes) if spectrum is None else spectrum
+    tilde = grid.dx / np.sqrt(2.0 * np.pi * hbar) * phases * spectrum
     pgrid = grid.conjugate_grid(hbar)
     return GridPureState(pgrid, np.fft.fftshift(tilde), state.constants)
 
@@ -455,7 +465,12 @@ def moments(state, observable: str) -> tuple[float, float]:
         b, dens, measure = state.slope * state.j_values, np.abs(state.amplitudes) ** 2, 1.0
     else:
         raise UnsupportedObservable(f"{observable!r} is not defined for a {state.family} state")
-    return tuple(float(np.sum(b ** k * dens) * measure) for k in (1, 2))
+    return density_moments(b, dens, measure)
+
+
+def density_moments(labels: np.ndarray, density: np.ndarray, measure: float) -> tuple:
+    """(<B>, <B^2>) of a density sampled on the values ``labels`` of B."""
+    return tuple(float(np.sum(labels ** k * density) * measure) for k in (1, 2))
 
 
 def variance(state, observable: str) -> float:

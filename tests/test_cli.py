@@ -92,6 +92,19 @@ def test_malformed_json_exits_two(tmp_path):
     assert json.loads(out.read_text())["kind"] == "parse"
 
 
+@pytest.mark.parametrize("case", ["missing state file", "csv in a missing directory"])
+def test_unreadable_file_exits_two(tmp_path, capsys, case):
+    # a file that cannot be opened is bad input: the parse-error document on
+    # stdout and exit 2, which the README keeps apart from a violation's 1
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps(state_to_dict(gaussian_state(GridSpec(64, -8.0, 8.0), 1.0))))
+    args = (["decompose", str(tmp_path / "missing.json")] if case == "missing state file"
+            else ["wigner", str(state_path), "--csv", str(tmp_path / "nodir" / "w.csv")])
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert doc["kind"] == "parse" and "No such file or directory" in doc["error"]
+
+
 def test_computation_error_exits_three(tmp_path):
     out = tmp_path / "out.json"
     code = main(["mub", "--d", "4", "--out", str(out)])

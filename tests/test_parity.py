@@ -48,9 +48,11 @@ TF_SAME_HBAR = ULP         # time-frequency against xp at hbar = 1/(2 pi): measu
 TF_RESCALED = 1.7e-13      # time-frequency against xp at hbar = 1, times 1/(2 pi)
 # per relation: a boost by whole momentum steps; the lattice and the state
 # moved by whole steps (the conjugate X_cl in the density's tails sees the
-# wrap of psi's edge modes); x -> lambda x, lambda in [0.8, 1.25]
+# wrap of psi's edge modes, and a mixture whose chain residual is relative to
+# an origin-dependent <X^2> can be refined on one lattice and not on the
+# other); x -> lambda x, lambda in [0.8, 1.25]
 BOOST = {"xp": 1.7e-11, "conjugate": 1.2e-13}
-SHIFT = {"xp": 1.8e-14, "conjugate": 9.7e-9}
+SHIFT = {"xp": 1.8e-14, "conjugate": 5.2e-7}
 DILATION = {"xp": 1.1e-14, "conjugate": 6.8e-14}
 MIX_ORDER = ULP            # members of a mixture listed in reverse: measured 0
 MIX_PHASE = 9.8e-14        # a global phase on one member
@@ -238,8 +240,8 @@ class TestLineSymmetries:
         state = self.state(seed, mixed)
         moved = transformed(state, lambda s: dilated(s, lam))
         scale = lam if relation == "xp" else 1.0 / lam
-        assert_spreads(verify(relation, state), verify(relation, moved), FACTOR * DILATION[relation],
-                       length_scale=scale, spread_scale=1.0 / scale)
+        assert_spreads(verify(relation, state), verify(relation, moved),
+                       FACTOR * DILATION[relation], length_scale=scale, spread_scale=1.0 / scale)
 
 
 @pytest.mark.parametrize("relation", ["xp", "conjugate"])

@@ -90,20 +90,44 @@ class TestPositionMomentum:
         assert report.notes["fisher_length"] == pytest.approx(sigma, rel=1e-9)
         assert report.notes["nonclassical_spread"] == pytest.approx(0.5 / sigma, rel=1e-9)
 
-    @pytest.mark.parametrize("relation", ["xp", "time-frequency"])
-    def test_one_momentum_transform_per_report(self, monkeypatch, grid, relation):
-        # the line measurement reads Var P from one momentum density
-        from exact_uncertainty import states
+    # (forward FFTs, inverse FFTs, to_momentum calls) of one report: one
+    # forward FFT per member, shared by psi' and psi~; a conjugate report
+    # transforms each member to psi~ and differentiates conj(psi~)
+    TRANSFORMS = {"xp": (1, 1, 1), "time-frequency": (1, 1, 1), "conjugate": (2, 1, 1),
+                  "xp-mixed": (2, 2, 2), "conjugate-mixed": (4, 2, 2)}
+
+    @pytest.mark.parametrize("relation", sorted(TRANSFORMS))
+    def test_transforms_per_report(self, monkeypatch, grid, relation):
+        from exact_uncertainty import decomposition, states
         from exact_uncertainty.signals import gaussian_pulse, verify_time_frequency
 
-        transform, calls = states.to_momentum, []
-        monkeypatch.setattr(states, "to_momentum", lambda s: calls.append(s) or transform(s))
-        if relation == "xp":
-            verify_position_momentum(gaussian_state(grid, 1.2, momentum=0.7))
-        else:
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "fft", counted("fft", np.fft.fft))
+        monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+        to_momentum = counted("to_momentum", states.to_momentum)
+        for module in (states, decomposition):
+            if hasattr(module, "to_momentum"):
+                monkeypatch.setattr(module, "to_momentum", to_momentum)
+        state = gaussian_state(grid, 1.2, momentum=0.7)
+        if relation.endswith("mixed"):
+            state = GridMixedState.from_ensemble(
+                [(0.4, state), (0.6, gaussian_state(grid, 0.9, center=1.0, chirp=0.2))])
+        if relation == "time-frequency":
             verify_time_frequency(gaussian_pulse(GridSpec(1024, -10.0, 10.0), width=0.8,
                                                  carrier=1.2, chirp=0.6))
-        assert len(calls) == 1
+        elif relation.startswith("xp"):
+            verify_position_momentum(state)
+        else:
+            verify_conjugate(state)
+        found = tuple(counts.get(name, 0) for name in ("fft", "ifft", "to_momentum"))
+        assert found == self.TRANSFORMS[relation]
 
     def test_mixture_exceeds_bound(self, grid):
         mix = GridMixedState.from_ensemble([
@@ -227,6 +251,18 @@ class TestConjugateRefinement:
         assert study["residual"][0] > TOL_GRID
         assert report.relation_id == "conjugate-mixed"
         assert report.verdict == INEQUALITY
+
+    def test_report_dict_is_a_fresh_copy(self):
+        # to_dict converts the fields directly, without asdict's deep copy
+        from dataclasses import asdict
+
+        from exact_uncertainty.relations import _jsonable
+
+        report = verify_conjugate(under_resolved_state())
+        doc = report.to_dict()
+        assert doc == _jsonable(asdict(report))
+        doc["notes"]["resolution_study"]["n_points"].append(0)
+        assert report.notes["resolution_study"]["n_points"] == [1024, 2048]
 
     def test_resolved_reports_are_not_refined(self, rng, grid):
         for _ in range(5):

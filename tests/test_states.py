@@ -336,3 +336,17 @@ def test_json_round_trip_property(kind, seed):
         assert np.max(np.abs(back.matrix - state.matrix)) < 1e-12
     else:
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+
+def test_finite_state_from_vector_is_the_outer_product():
+    v = np.array([1.0, 2.0j, -0.5 + 0.3j])
+    u = v / np.linalg.norm(v)
+    state = FiniteState.from_vector(v)
+    np.testing.assert_array_equal(state.matrix, np.outer(u, u.conj()))
+    assert state.purity == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("vec", [[np.nan, 1.0], [np.inf, 0.0], [0.0, 0.0], [1.0]])
+def test_finite_state_from_vector_rejects_bad_vectors(vec):
+    with pytest.raises(ValueError):
+        FiniteState.from_vector(vec)
