@@ -281,8 +281,9 @@ def _suite_case(family: str, rng, grid, constants, config: RunConfig) -> Relatio
     if family == "conjugate":
         # narrow center spread keeps the momentum density resolved on the
         # conjugate lattice (the mirror of the box-decay convention)
-        state = random_smooth_grid_state(rng, grid, constants, center_spread=1.2)
-        return verify_conjugate(state, config.tol_grid)
+        return verify_conjugate(random_smooth_grid_state(rng, grid, constants,
+                                                         center_spread=1.2),
+                                config.tol_grid)
     if family == "phase-angular":
         return verify_phase_angular(random_periodic_state(rng, constants=constants),
                                     config.tol_grid)

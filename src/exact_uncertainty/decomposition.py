@@ -127,9 +127,9 @@ def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent
     key = (basis, observable)
     kind = state.family
     if kind == "grid" and key in (("position", "P"), ("momentum", "X")):
-        measured = state if basis == "position" else _reflected(state)
-        density, numerator = ensemble_sum(measured, partial(_line_terms, partner=False))[:2]
-        return _component(measured.grid.points(), numerator, density, measured.grid.dx,
+        line_state = state if basis == "position" else _reflected(state)
+        density, numerator = ensemble_sum(line_state, partial(_line_terms, partner=False))[:2]
+        return _component(line_state.grid.points(), numerator, density, line_state.grid.dx,
                           observable, basis)
     if (kind, *key) in (("periodic", "phase", "J"), ("fock", "phase", "N"),
                         ("fock", "extended-phase", "N")):
@@ -185,10 +185,10 @@ def line_measurement(state, conjugate: bool = False) -> LineMeasurement:
     A mixture's Fisher length takes the commutator form for X, and for P comes
     from the density, whose derivative alone (the reflected members are exactly
     band-limited) shows a lattice too coarse for the momentum density."""
-    measured = _reflected(state) if conjugate else state
-    grid, hbar = measured.grid, measured.constants.hbar
+    line_state = _reflected(state) if conjugate else state
+    grid, hbar = line_state.grid, line_state.constants.hbar
     mixed = isinstance(state, MixedState)
-    sums = ensemble_sum(measured, partial(_line_terms, partner=not conjugate))
+    sums = ensemble_sum(line_state, partial(_line_terms, partner=not conjugate))
     density, numerator, z, moments_a = sums[:4]
     line = LineDensity(grid, density)
     fisher = (commutator_fisher_length(line, 2.0 * np.real(z)) if mixed and not conjugate

@@ -62,8 +62,7 @@ def spectral_derivative(values, grid: GridSpec, order: int = 1, spectrum=None) -
     Exact for band-limited inputs.  The Nyquist mode is zeroed for odd
     orders, where its derivative is not representable on the grid.
     """
-    if spectrum is None:
-        spectrum = np.fft.fft(np.asarray(values, dtype=complex))
+    spectrum = np.fft.fft(np.asarray(values, dtype=complex)) if spectrum is None else spectrum
     k = grid.wavenumbers()
     mult = (1j * k) ** order
     if order % 2 == 1:

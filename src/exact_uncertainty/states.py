@@ -339,7 +339,8 @@ class FiniteState:
         norm = float(np.linalg.norm(v))
         if not (v.ndim == 1 and v.size >= 2 and 0.0 < norm < np.inf):
             raise ValueError("need a finite, nonzero vector of dimension >= 2")
-        state, v = object.__new__(cls), v / norm  # no eigenvalue test in __post_init__
+        v = v / norm
+        state = object.__new__(cls)  # skips the eigenvalue test of __post_init__
         object.__setattr__(state, "matrix", np.outer(v, v.conj()))
         return state
 
