@@ -5,7 +5,7 @@ the same exact product law as position and momentum."""
 import numpy as np
 
 from exact_uncertainty import GridSpec, gaussian_pulse, instantaneous_frequency, verify_time_frequency
-from exact_uncertainty.signals import SignalRecord
+from exact_uncertainty.signals import signal_from_samples
 
 tgrid = GridSpec(1024, -10.0, 10.0)
 pulse = gaussian_pulse(tgrid, width=0.8, carrier=1.2, chirp=0.7)
@@ -26,7 +26,7 @@ print(f"verdict: {report.verdict}, residual {report.residual:.2e}")
 
 print("\na causal (switched-on) pulse cannot play this game:")
 t = tgrid.points()
-causal = SignalRecord.from_samples(t, np.where(t >= -2.0, np.exp(-t ** 2 / 2), 0.0))
+causal = signal_from_samples(t, np.where(t >= -2.0, np.exp(-t ** 2 / 2), 0.0))
 report = verify_time_frequency(causal)
 print(f"flag: {report.notes['fisher_flag']}  ->  delta_t -> 0 under refinement and the"
       f" spectral variance diverges with the band")

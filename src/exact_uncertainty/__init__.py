@@ -53,7 +53,7 @@ from .relations import (
     verify_phase_number,
     verify_position_momentum,
 )
-from .signals import SignalRecord, gaussian_pulse, instantaneous_frequency, verify_time_frequency
+from .signals import gaussian_pulse, instantaneous_frequency, signal_from_samples, verify_time_frequency
 from .states import (
     Constants,
     FiniteState,

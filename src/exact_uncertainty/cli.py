@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .fisher import diffusion_entropy_rate
 from .grids import GridSpec
 from .mub import complementarity_check, measurement_distribution, mub_construct
 from .relations import (
+    TOL_FINITE,
+    TOL_FOCK,
+    TOL_GRID,
     RelationReport,
     _jsonable,
     verify_conjugate,
@@ -50,7 +53,7 @@ from .random_states import (
     random_periodic_state,
     random_smooth_grid_state,
 )
-from .signals import gaussian_pulse, signal_from_rows, verify_time_frequency
+from .signals import gaussian_pulse, instantaneous_frequency, signal_from_rows, verify_time_frequency
 from .states import (
     Constants,
     FiniteState,
@@ -74,16 +77,26 @@ from .wigner import wigner_row_moments, wigner_rows, wigner_to_csv_rows
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The global flags: each field is the flag ``--field-name``, with its default."""
+
     hbar: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
     inertia: float = 1.0
     grid_n: int = 1024
-    tol_grid: float = 1e-6
-    tol_finite: float = 1e-10
-    tol_fock: float = 1e-4
+    tol_grid: float = TOL_GRID
+    tol_finite: float = TOL_FINITE
+    tol_fock: float = TOL_FOCK
     seed: int = 0
-    out: str | None = None
+    out: str | None = field(default=None, metadata={"help": "write the JSON report here"})
+
+    def __post_init__(self):
+        # a value the library rejects is bad input, refused before any report runs
+        try:
+            self.constants()
+            GridSpec(self.grid_n, -1.0, 1.0)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
 
     def constants(self) -> Constants:
         return Constants(self.hbar, self.mass, self.omega, self.inertia)
@@ -105,23 +118,15 @@ SUITE_FAMILIES = {
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted before or after the subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--hbar", type=float)
-    common.add_argument("--mass", type=float)
-    common.add_argument("--omega", type=float)
-    common.add_argument("--inertia", type=float)
-    common.add_argument("--grid-n", type=int)
-    common.add_argument("--tol-grid", type=float)
-    common.add_argument("--tol-finite", type=float)
-    common.add_argument("--tol-fock", type=float)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", type=str, help="write the JSON report here")
+    for flag in fields(RunConfig):
+        common.add_argument("--" + flag.name.replace("_", "-"), help=flag.metadata.get("help"),
+                            type=str if flag.default is None else type(flag.default))
 
     parser = argparse.ArgumentParser(
         prog="exact-uncertainty",
         description="Verify exact uncertainty relations and run the worked demos.",
         parents=[common])
-    parser.set_defaults(hbar=1.0, mass=1.0, omega=1.0, inertia=1.0, grid_n=1024,
-                        tol_grid=1e-6, tol_finite=1e-10, tol_fock=1e-4, seed=0, out=None)
+    parser.set_defaults(**asdict(RunConfig()))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run relation verifiers", parents=[common])
@@ -177,32 +182,32 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(args.hbar, args.mass, args.omega, args.inertia, args.grid_n,
-                       args.tol_grid, args.tol_finite, args.tol_fock, args.seed, args.out)
     try:
+        config = RunConfig(**{flag.name: getattr(args, flag.name) for flag in fields(RunConfig)})
         code, report = COMMANDS[args.command](config, args)
         report["provenance"] = config.provenance()
-        _emit(report, config)
+        text = _emit(report)
     except (ParseError, json.JSONDecodeError, OSError) as exc:  # OSError: unreadable input
-        _emit({"error": str(exc), "kind": "parse"}, config)
-        return 2
+        code, text = 2, _emit({"error": str(exc), "kind": "parse"})
     except ExactUncertaintyError as exc:
-        _emit({"error": str(exc), "kind": type(exc).__name__}, config)
-        return 3
+        code, text = 3, _emit({"error": str(exc), "kind": type(exc).__name__})
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as exc:  # the --out file itself: its parse-error document goes to stdout
+            code, text = 2, _emit({"error": str(exc), "kind": "parse"})
+    print(text)
     return code
 
 
-def _emit(report: dict, config: RunConfig):
-    """Write the report as strict JSON; a NaN in it raises NonFiniteResult."""
+def _emit(report: dict) -> str:
+    """The report as strict JSON; a NaN in it raises NonFiniteResult."""
     try:
-        text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteResult(f"report holds a NaN: {exc}") from exc
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _load_state(path: str, constants: Constants):
@@ -382,8 +387,11 @@ def cmd_energy_bound(config: RunConfig, args) -> tuple[int, dict]:
 
 def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
     constants = config.constants()
-    params = EprParams(args.a, args.sigma, args.tau, args.p0)
-    gx, gy = epr_grids(params, n_points=args.epr_grid_n)
+    try:  # the widths and grid size are checked where they are built
+        params = EprParams(args.a, args.sigma, args.tau, args.p0)
+        gx, gy = epr_grids(params, n_points=args.epr_grid_n)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     state = build_epr(params, gx, gy, constants)
     parts = nonclassical_components_2d(state)
     corr = correlations(parts)
@@ -436,8 +444,10 @@ def cmd_mub(config: RunConfig, args) -> tuple[int, dict]:
         state = random_finite_state(rng, args.d)
     elif args.state == "mixed":
         state = random_finite_state(rng, args.d, pure=False)
-    else:
+    elif args.state.isdigit() and int(args.state) < args.d:
         state = FiniteState.from_vector(np.eye(args.d)[int(args.state)])
+    else:
+        raise ParseError(f"--state must be 'random', 'mixed' or a basis index below {args.d}")
     report = verify_ivanovic(state, bases, tol=config.tol_finite * 100)
     doc = {
         "dimension": args.d,
@@ -463,8 +473,6 @@ def cmd_signal(config: RunConfig, args) -> tuple[int, dict]:
     else:
         raise ParseError("signal needs a CSV file or --demo")
     report = verify_time_frequency(signal, config.tol_grid)
-    from .signals import instantaneous_frequency
-
     _, finst, mask = instantaneous_frequency(signal)
     doc = {
         "report": report.to_dict(),

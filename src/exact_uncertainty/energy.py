@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -254,12 +255,13 @@ def mean_inverse_abs(density: LineDensity, exclusion_cells: int = 1) -> float:
     return (4.0 * i1 - i2) / 3.0
 
 
+@cache
 def airy_first_zero(step: float = 1e-3) -> float:
     """First zero of Ai(-z), from integrating u'' = -z u and bisecting.
 
     Initial data are the standard Ai(0), Ai'(0) values; fourth-order
     Runge-Kutta in z keeps the bracketing error far below the bisection
-    tolerance.
+    tolerance.  A pure function of ``step``, so it is solved once per step.
     """
     u0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)   # Ai(0)
     du0 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)  # -Ai'(0)

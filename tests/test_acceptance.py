@@ -37,7 +37,7 @@ from exact_uncertainty.relations import (
     verify_phase_number,
     verify_position_momentum,
 )
-from exact_uncertainty.signals import SignalRecord, gaussian_pulse, verify_time_frequency
+from exact_uncertainty.signals import gaussian_pulse, signal_from_samples, verify_time_frequency
 from exact_uncertainty.states import (
     FiniteState,
     GridMixedState,
@@ -295,8 +295,7 @@ def test_criterion_10_time_frequency():
         for n in (512, 1024, 2048):
             g = GridSpec(n, -10.0, 10.0)
             t = g.points()
-            sig = SignalRecord.from_samples(t, np.where(t >= -2.0,
-                                                        np.exp(-t ** 2 / 2), 0.0))
+            sig = signal_from_samples(t, np.where(t >= -2.0, np.exp(-t ** 2 / 2), 0.0))
             r = verify_time_frequency(sig)
             assert r.verdict == FLAGGED
             variances.append(r.notes["var_frequency"])

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -92,17 +93,51 @@ def test_malformed_json_exits_two(tmp_path):
     assert json.loads(out.read_text())["kind"] == "parse"
 
 
-@pytest.mark.parametrize("case", ["missing state file", "csv in a missing directory"])
+@pytest.mark.parametrize("case", ["missing state file", "csv in a missing directory",
+                                  "out in a missing directory"])
 def test_unreadable_file_exits_two(tmp_path, capsys, case):
     # a file that cannot be opened is bad input: the parse-error document on
-    # stdout and exit 2, which the README keeps apart from a violation's 1
+    # stdout and exit 2, which the README keeps apart from a violation's 1;
+    # an --out file that cannot be written gets its document on stdout too
     state_path = tmp_path / "state.json"
     state_path.write_text(json.dumps(state_to_dict(gaussian_state(GridSpec(64, -8.0, 8.0), 1.0))))
-    args = (["decompose", str(tmp_path / "missing.json")] if case == "missing state file"
-            else ["wigner", str(state_path), "--csv", str(tmp_path / "nodir" / "w.csv")])
+    args = {"missing state file": ["decompose", str(tmp_path / "missing.json")],
+            "csv in a missing directory": ["wigner", str(state_path), "--csv",
+                                           str(tmp_path / "nodir" / "w.csv")],
+            "out in a missing directory": ["decompose", str(state_path), "--out",
+                                           str(tmp_path / "nodir" / "out.json")]}[case]
     assert main(args) == 2
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
     assert doc["kind"] == "parse" and "No such file or directory" in doc["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "full", "--n", "1", "--grid-n", "7"],
+    ["signal", "--demo", "chirp", "--grid-n", "6"],
+    ["verify", "--suite", "full", "--n", "1", "--hbar", "0"],
+    ["energy-bound", "--model", "harmonic", "--mass", "-1"],
+    ["epr-demo", "--sigma", "-1"],
+    ["epr-demo", "--sigma", "0.2", "--tau", "5", "--epr-grid-n", "7"],
+    ["mub", "--d", "3", "--state", "foo"],
+    ["mub", "--d", "3", "--state", "5"],
+    ["mub", "--d", "3", "--state", "-1"],
+])
+def test_rejected_flag_value_exits_two(capsys, args):
+    # a value the library rejects is bad input (exit 2), not a traceback
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert doc["kind"] == "parse"
+
+
+def test_bouncer_report_solves_the_airy_zero_once(tmp_path, monkeypatch):
+    from exact_uncertainty import energy
+
+    solves, gamma = [], math.gamma
+    monkeypatch.setattr(energy.math, "gamma", lambda x: solves.append(x) or gamma(x))
+    energy.airy_first_zero.cache_clear()
+    code, _ = run(["energy-bound", "--model", "bouncer"], tmp_path / "b.json")
+    assert code == 0
+    assert len(solves) == 2  # Ai(0) and Ai'(0), the initial data of one solve
 
 
 def test_computation_error_exits_three(tmp_path):
@@ -150,6 +185,32 @@ def test_signal_csv_ingestion(tmp_path):
     code, doc = run(["signal", str(csv_path)], tmp_path / "s.json")
     assert code == 0
     assert doc["report"]["verdict"] == "equality"
+
+
+def test_signal_csv_scale_does_not_change_report(tmp_path):
+    # a signal is normalized as a state file is: 1e-16 and 1e-200 once read
+    # as "zero energy", and |a|^2 of 1e160 and 1e200 overflowed to a zero
+    # signal and a traceback; an all-zero signal is ZeroNorm, as a zero state
+    t = np.linspace(-4, 4, 256, endpoint=False)
+    a = np.exp(-t ** 2 + 2j * np.pi * 0.4 * t)
+    runs = {}
+    for factor in (1.0, 1e-16, 1e-200, 1e160, 1e200, 0.0):
+        path = tmp_path / f"sig-{factor:g}.csv"
+        rows = ["t,re,im"] + [f"{ti},{ai.real},{ai.imag}" for ti, ai in zip(t, factor * a)]
+        path.write_text("\n".join(rows))
+        runs[factor] = run(["signal", str(path)], tmp_path / "out.json")
+    ref_code, ref = runs[1.0]
+    assert ref_code == 0
+    for factor in (1e-16, 1e-200, 1e160, 1e200):
+        code, doc = runs[factor]
+        assert code == ref_code
+        report = doc["report"]
+        assert report["verdict"] == ref["report"]["verdict"]
+        assert report["left"] == pytest.approx(ref["report"]["left"], rel=1e-12)
+        # the residual is itself relative to the right-hand side
+        assert report["residual"] == pytest.approx(ref["report"]["residual"], abs=1e-12)
+    code, doc = runs[0.0]
+    assert code == 3 and doc["kind"] == "ZeroNorm"
 
 
 @pytest.mark.parametrize("bad", ["nan-time", "constant-time", "decreasing-time", "inf-amplitude",
