@@ -15,7 +15,6 @@ from exact_uncertainty import (
     fisher_length_periodic,
     fock_basis_state,
     fock_state,
-    normalize,
     variance,
     verify_phase_number,
 )
@@ -32,7 +31,7 @@ print(f"phase distribution flag: {report.notes['flag']}  ->  uniform phase,"
 print("\n== coherent-like state, mean 2 ==")
 n = np.arange(41)
 amps = np.exp(0.5 * (n * np.log(2.0) - np.array([lgamma(v + 1) for v in n]) - 2.0))
-state = normalize(fock_state(40, amps))
+state = fock_state(40, amps)
 comp = classical_estimate(state, "phase", "N")
 print(f"<N> = {comp.mean:.6f} reproduced by the phase-readout estimate")
 

@@ -12,7 +12,6 @@ from exact_uncertainty import (
     decomposition_summary,
     fisher_length,
     gaussian_state,
-    normalize,
     verify_position_momentum,
 )
 
@@ -31,7 +30,7 @@ x = grid.points()
 psi = (np.exp(-(x - 3) ** 2 / 2.2 + 0.9j * x)
        + 0.7 * np.exp(-(x + 2) ** 2 / 3.0 - 1.2j * x)
        + 0.4 * np.exp(-x ** 2 / 1.1 + 0.4j * x ** 2))
-state = normalize(GridPureState(grid, psi))
+state = GridPureState(grid, psi)
 delta_x = fisher_length(LineDensity(grid, state.position_density())).fisher_length
 summary = decomposition_summary(state, "position", "P")
 product = delta_x * np.sqrt(summary.var_nonclassical)

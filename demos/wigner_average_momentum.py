@@ -12,7 +12,6 @@ from exact_uncertainty import (
     GridSpec,
     classical_estimate,
     gaussian_state,
-    normalize,
     wigner_average_momentum,
     wigner_transform,
 )
@@ -21,7 +20,7 @@ from exact_uncertainty.wigner import wigner_to_csv_rows
 grid = GridSpec(512, -24.0, 24.0)
 raw = gaussian_state(grid, 1.0, center=-4.0).amplitudes \
     + gaussian_state(grid, 1.0, center=4.0, momentum=1.0).amplitudes
-cat = normalize(GridPureState(grid, raw))
+cat = GridPureState(grid, raw)
 
 w = wigner_transform(cat)
 print(f"integral of W over phase space : {w.total:.12f}")

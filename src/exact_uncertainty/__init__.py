@@ -69,7 +69,6 @@ from .states import (
     gaussian_state,
     moment,
     momentum_density,
-    normalize,
     state_from_dict,
     state_to_dict,
     to_momentum,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -97,6 +98,9 @@ class RunConfig:
             GridSpec(self.grid_n, -1.0, 1.0)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+        _positive(tol_grid=self.tol_grid, tol_finite=self.tol_finite, tol_fock=self.tol_fock)
+        if self.seed < 0:
+            raise ParseError(f"--seed must be nonnegative, got {self.seed}")
 
     def constants(self) -> Constants:
         return Constants(self.hbar, self.mass, self.omega, self.inertia)
@@ -106,6 +110,13 @@ class RunConfig:
         doc.pop("out")
         doc["version"] = __version__
         return doc
+
+
+def _positive(**flags) -> None:
+    """ParseError naming the first flag value that is not finite and strictly positive."""
+    for name, value in flags.items():
+        if not 0 < value < np.inf:  # a NaN fails too
+            raise ParseError(f"--{name.replace('_', '-')} must be finite and strictly positive, got {value}")
 
 
 SUITE_FAMILIES = {
@@ -126,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="exact-uncertainty",
         description="Verify exact uncertainty relations and run the worked demos.",
         parents=[common])
-    parser.set_defaults(**asdict(RunConfig()))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run relation verifiers", parents=[common])
@@ -180,10 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)  # a global flag is in args only where given
     try:
-        config = RunConfig(**{flag.name: getattr(args, flag.name) for flag in fields(RunConfig)})
+        config = RunConfig(**{flag.name: getattr(args, flag.name) for flag in fields(RunConfig)
+                              if hasattr(args, flag.name)})
         code, report = COMMANDS[args.command](config, args)
         report["provenance"] = config.provenance()
         text = _emit(report)
@@ -191,14 +202,17 @@ def main(argv=None) -> int:
         code, text = 2, _emit({"error": str(exc), "kind": "parse"})
     except ExactUncertaintyError as exc:
         code, text = 3, _emit({"error": str(exc), "kind": type(exc).__name__})
-    if args.out:
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.write(text + "\n")
             return code
         except OSError as exc:  # the --out file itself: its parse-error document goes to stdout
             code, text = 2, _emit({"error": str(exc), "kind": "parse"})
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left (`| head -1`): the rest goes to devnull, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 
@@ -369,6 +383,7 @@ def cmd_energy_bound(config: RunConfig, args) -> tuple[int, dict]:
         doc = {"model": "harmonic", "entropic_bound": ent.bound, "fisher_bound": fis.bound,
                "ground_energy": ent.comparison}
     else:
+        _positive(gravity=args.gravity)
         model = EnergyModel("gravity", constants, gravity=args.gravity)
         ent = entropic_groundstate_bound(model)
         fis = fisher_groundstate_bound(model)
@@ -482,6 +497,8 @@ def cmd_signal(config: RunConfig, args) -> tuple[int, dict]:
 
 
 def cmd_diffusion(config: RunConfig, args) -> tuple[int, dict]:
+    # a rate needs two entropies (steps >= 1), a time step and a spreading density
+    _positive(steps=args.steps, gamma=args.gamma, dt=args.dt, sigma=args.sigma)
     grid = GridSpec(config.grid_n, -20.0, 20.0)
     state = gaussian_state(grid, args.sigma, constants=config.constants())
     density = LineDensity(grid, state.position_density())

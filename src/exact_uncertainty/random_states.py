@@ -12,7 +12,6 @@ from .states import (
     GridPureState,
     PeriodicState,
     fock_state,
-    normalize,
 )
 
 
@@ -42,7 +41,7 @@ def random_smooth_grid_state(rng: np.random.Generator, grid: GridSpec | None = N
         weight = rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform())
         psi += weight * np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)
                                + 1j * (k * x + beta * (x - center) ** 2) / constants.hbar)
-    return normalize(GridPureState(grid, psi, constants))
+    return GridPureState(grid, psi, constants)
 
 
 def random_periodic_state(rng: np.random.Generator, j_max: int = 24,
@@ -54,7 +53,7 @@ def random_periodic_state(rng: np.random.Generator, j_max: int = 24,
     width = rng.uniform(2.0, j_max / 4)
     phase_center = rng.uniform(0.0, 2.0 * np.pi)
     amps = np.exp(-((j - center) ** 2) / (4.0 * width ** 2) - 1j * j * phase_center)
-    return normalize(PeriodicState(-j_max, j_max, amps, constants))
+    return PeriodicState(-j_max, j_max, amps, constants)
 
 
 def random_fock_state(rng: np.random.Generator, n_max: int = 32, mean: float | None = None,
@@ -66,7 +65,7 @@ def random_fock_state(rng: np.random.Generator, n_max: int = 32, mean: float | N
     log_mag = 0.5 * (n * np.log(mean) - _log_factorial(n) - mean)
     theta0 = rng.uniform(0.0, 2.0 * np.pi)
     amps = np.exp(log_mag - 1j * n * theta0)
-    return normalize(fock_state(n_max, amps, constants))
+    return fock_state(n_max, amps, constants)
 
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
@@ -82,7 +81,7 @@ def random_finite_state(rng: np.random.Generator, dimension: int,
         return FiniteState.from_vector(vec)
     raw = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(size=(dimension, dimension))
     rho = raw @ raw.conj().T
-    return FiniteState(rho / np.real(np.trace(rho)))
+    return FiniteState(rho)
 
 
 def random_hermitian(rng: np.random.Generator, dimension: int) -> np.ndarray:
@@ -114,4 +113,4 @@ def random_gaussian_2d(rng: np.random.Generator, n_points: int = 384,
     theta = (phase_form[0, 0] * x1 ** 2 + 2.0 * phase_form[0, 1] * x1 * x2
              + phase_form[1, 1] * x2 ** 2) / (2.0 * constants.hbar)
     psi = np.exp(-quad / 4.0 + 1j * theta)
-    return normalize(Grid2DPureState(grid, grid, psi, constants))
+    return Grid2DPureState(grid, grid, psi, constants)

@@ -20,21 +20,20 @@ from .decomposition import classical_estimate, line_measurement
 from .errors import ParseError
 from .grids import GridSpec
 from .relations import RelationReport, relation_report
-from .states import Constants, GridPureState, normalize
+from .states import Constants, GridPureState
 
 SIGNAL_CONSTANTS = Constants(hbar=1.0 / (2.0 * np.pi))  # momentum is frequency
 
 
 def signal_from_samples(times, values) -> GridPureState:
     """The unit-energy signal (integral |a|^2 dt = 1) of samples at strictly
-    increasing uniform times, normalized as state files are
-    (:func:`states.normalize`): at any scale, and an all-zero signal is ZeroNorm."""
+    increasing uniform times, normalized as every state is where it is built:
+    at any scale, and an all-zero signal is ZeroNorm."""
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=complex)
     if times.size < 8:
         raise ParseError("need at least 8 samples")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-        raise ParseError("signal samples must be finite")
+    if not np.all(np.isfinite(times)):  # a non-finite value is refused by GridPureState
+        raise ParseError("sample times must be finite")
     dt = np.diff(times)
     # written so that a NaN fails the test
     if not (dt[0] > 0.0 and np.max(np.abs(dt - dt[0])) <= 1e-9 * dt[0]):
@@ -43,7 +42,7 @@ def signal_from_samples(times, values) -> GridPureState:
         grid = GridSpec(times.size, float(times[0]), float(times[0] + dt[0] * times.size))
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    return normalize(GridPureState(grid, values, SIGNAL_CONSTANTS))
+    return GridPureState(grid, values, SIGNAL_CONSTANTS)
 
 
 def frequency_representation(signal: GridPureState) -> tuple[np.ndarray, np.ndarray]:
@@ -114,4 +113,4 @@ def gaussian_pulse(grid: GridSpec, width: float, center: float = 0.0,
     t = grid.points()
     a = np.exp(-((t - center) ** 2) / (4.0 * width ** 2)
                + 2j * np.pi * carrier * t + 1j * chirp * (t - center) ** 2)
-    return normalize(GridPureState(grid, a, SIGNAL_CONSTANTS))
+    return GridPureState(grid, a, SIGNAL_CONSTANTS)

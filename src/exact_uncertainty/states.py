@@ -18,6 +18,7 @@ EDGE_DECAY = 1e-12  # box convention: amplitude at edges relative to peak
 HERMITIAN_TOL = 1e-10  # density matrices: anti-Hermitian part and negative eigenvalues
 EIGEN_FLOOR = 1e-12  # density-matrix eigenvalues below this fraction of the largest are dropped
 ZERO_NORM = 1e-14  # a squared norm (trace) below this, or non-finite, is rescaled before use
+UNIT_NORM_SLACK = 8 * np.finfo(float).eps  # a norm this near 1 is kept (built states: <= 6 eps)
 
 # the two families of circle states: the sign s of the rotator label j = s * l
 # of a stored label l (a photon number n sits at j = -n), the label observable
@@ -26,8 +27,20 @@ ZERO_NORM = 1e-14  # a squared norm (trace) below this, or non-finite, is rescal
 CIRCLE_FAMILIES = {"periodic": (1, "J", 256, 8), "fock": (-1, "N", 1024, 32)}
 
 
-def _norm_squared(state) -> float:
-    return float(np.sum(np.abs(state.amplitudes) ** 2) * state.measure)
+def _norm_squared(state, a: np.ndarray | None = None) -> float:
+    """sum |psi|^2 * measure of the state's amplitudes, or of ``a``."""
+    a = state.amplitudes if a is None else a
+    if a.ndim == 2:  # over row blocks, with no full-size temporary
+        return float(sum(np.vdot(a[r], a[r]).real for r in row_blocks(*a.shape)) * state.measure)
+    return float(np.sum(np.abs(a) ** 2) * state.measure)
+
+
+def _set_amplitudes(state, shape: tuple) -> None:
+    """Store a pure state's amplitudes as complex, of ``shape``, normalized."""
+    amps = np.asarray(state.amplitudes, dtype=complex)
+    if amps.shape != shape:
+        raise ValueError(f"{amps.shape} amplitudes do not match the space {shape}")
+    object.__setattr__(state, "amplitudes", _normalized(amps, lambda a: _norm_squared(state, a)))
 
 
 @dataclass(frozen=True)
@@ -40,9 +53,9 @@ class Constants:
     moment_of_inertia: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "mass", "omega", "moment_of_inertia"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name, value in vars(self).items():
+            if not 0 < value < np.inf:  # a NaN fails too
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +68,7 @@ class GridPureState:
     family: ClassVar[str] = "grid"
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid.n_points,):
-            raise ValueError("amplitude count does not match grid")
-        object.__setattr__(self, "amplitudes", amps)
+        _set_amplitudes(self, (self.grid.n_points,))
 
     @property
     def measure(self) -> float:
@@ -78,7 +88,7 @@ class GridPureState:
 
 @dataclass(frozen=True)
 class Grid2DPureState:
-    """Two-particle wavefunction psi(x_k, y_l); per-axis grids may differ."""
+    """Two-particle wavefunction psi(x_k, y_l), unit norm; per-axis grids may differ."""
 
     grid_x: GridSpec
     grid_y: GridSpec
@@ -87,10 +97,7 @@ class Grid2DPureState:
     family: ClassVar[str] = "grid-2d"  # not a state-file family
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.grid_x.n_points, self.grid_y.n_points):
-            raise ValueError("amplitude shape does not match grids")
-        object.__setattr__(self, "amplitudes", amps)
+        _set_amplitudes(self, (self.grid_x.n_points, self.grid_y.n_points))
 
     @property
     def measure(self) -> float:
@@ -123,7 +130,7 @@ class PeriodicState:
     carries angular momentum J = hbar * j on the labels j = l; a
     photon-number state (``"fock"``, labels n = 0..n_max) carries N = n and
     sits on the rotator labels j = -n.  Either way the phase wavefunction is
-    f(phi) = (2*pi)**-0.5 * sum_j psi_j e^{i j phi}.
+    f(phi) = (2*pi)**-0.5 * sum_j psi_j e^{i j phi}, sum_l |psi_l|^2 = 1.
     """
 
     label_min: int
@@ -133,14 +140,11 @@ class PeriodicState:
     family: str = "periodic"
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
         if self.family not in CIRCLE_FAMILIES:
             raise ValueError(f"unknown circle family {self.family!r}")
         if self.label_min > self.label_max or (self.family == "fock" and self.label_min != 0):
             raise ValueError("need label_min <= label_max, and photon numbers from 0")
-        if amps.shape != (self.label_max - self.label_min + 1,):
-            raise ValueError("amplitude count does not match the label range")
-        object.__setattr__(self, "amplitudes", amps)
+        _set_amplitudes(self, (self.label_max - self.label_min + 1,))
 
     @property
     def j_values(self) -> np.ndarray:
@@ -188,6 +192,13 @@ def fock_state(n_max: int, amplitudes, constants: Constants | None = None) -> Pe
     return PeriodicState(0, n_max, amplitudes, constants or Constants(), "fock")
 
 
+def pure_state(family: str, space, amplitudes, constants: Constants | None = None):
+    """A state-file family's pure state on a GridSpec ("grid") or a label ``range``."""
+    if family == "grid":
+        return GridPureState(space, amplitudes, constants or Constants())
+    return PeriodicState(space.start, space.stop - 1, amplitudes, constants or Constants(), family)
+
+
 @dataclass(frozen=True)
 class MixedState:
     """Density operator rho = sum_i w_i |psi_i><psi_i| over pure members of
@@ -227,9 +238,8 @@ class MixedState:
         return cls(weights / weights.sum(), tuple(s for _, s in weighted_states))
 
     @classmethod
-    def from_matrix(cls, template, matrix) -> "MixedState":
-        """Factor a density matrix over the amplitudes of the pure state
-        ``template`` into members shaped like it.
+    def from_matrix(cls, matrix, family: str, space, constants=None) -> "MixedState":
+        """Factor a density matrix into members of ``family`` on ``space`` (:func:`pure_state`).
 
         rho * measure is factored once with eigh into sum_i lambda_i v_i v_i^dagger;
         each retained v_i becomes a member with amplitudes v_i / sqrt(measure)
@@ -239,15 +249,15 @@ class MixedState:
         largest entry first (:func:`_in_range`).  A matrix that is not
         Hermitian positive semidefinite raises ValueError.
         """
+        n, measure = (space.n_points, space.dx) if family == "grid" else (len(space), 1.0)
         mat = np.asarray(matrix, dtype=complex)
-        if mat.shape != (template.amplitudes.size,) * 2:
-            raise ValueError("matrix shape does not match the grid")
-        measure = template.measure
+        if mat.shape != (n, n):
+            raise ValueError("matrix shape does not match the space")
         mat, _ = _in_range(mat, lambda m: float(np.real(np.trace(m))) * measure)
         eigvals, eigvecs = _density_eigh(mat, measure, HERMITIAN_TOL)
         keep = np.flatnonzero(eigvals > EIGEN_FLOOR * eigvals[-1])[::-1]
         return cls.from_ensemble(
-            [(eigvals[i], replace(template, amplitudes=eigvecs[:, i] / np.sqrt(measure)))
+            [(eigvals[i], pure_state(family, space, eigvecs[:, i] / np.sqrt(measure), constants))
              for i in keep])
 
     def __getattr__(self, name):
@@ -319,7 +329,7 @@ def _density_eigh(mat: np.ndarray, measure: float, hermitian_tol: float, vectors
 
 @dataclass(frozen=True)
 class FiniteState:
-    """Density matrix on a d-dimensional Hilbert space (pure = rank one)."""
+    """Density matrix on a d-dimensional Hilbert space (pure = rank one), unit trace."""
 
     matrix: np.ndarray
     family: ClassVar[str] = "finite"
@@ -329,6 +339,7 @@ class FiniteState:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise ValueError("matrix must be square with dimension >= 2")
         _density_eigh(mat, 1.0, 1e-12, vectors=False)
+        mat = _normalized(mat, lambda m: float(np.real(np.trace(m))), root=False)
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
@@ -357,19 +368,12 @@ class FiniteState:
 # operations
 
 
-def normalize(state):
-    """Return the unit-norm version of a pure or finite state; direction and
-    phase kept.  A state whose norm is non-finite or below ZERO_NORM is first
-    divided by its largest entry (:func:`_in_range`), so a tiny or huge but
-    valid state normalizes too.  A MixedState has renormalized weights from
-    construction."""
-    if isinstance(state, MixedState):
-        raise UnsupportedObservable("cannot normalize a MixedState")
-    if isinstance(state, FiniteState):
-        mat, trace = _in_range(state.matrix, lambda m: float(np.real(np.trace(m))))
-        return replace(state, matrix=mat / trace)
-    amps, norm = _in_range(state.amplitudes, lambda a: replace(state, amplitudes=a).norm_squared)
-    return replace(state, amplitudes=amps / np.sqrt(norm))
+def _normalized(values: np.ndarray, norm_of, root: bool = True) -> np.ndarray:
+    """``values`` divided by the square root of their squared norm ``norm_of(values)``,
+    or by the trace itself unless ``root``, at any scale (:func:`_in_range`); unchanged,
+    bits and all, when that norm is within UNIT_NORM_SLACK of 1."""
+    values, norm = _in_range(values, norm_of)
+    return values if abs(norm - 1.0) <= UNIT_NORM_SLACK else values / (np.sqrt(norm) if root else norm)
 
 
 def _in_range(values: np.ndarray, norm_of):
@@ -424,16 +428,6 @@ def to_momentum(state: GridPureState, spectrum=None) -> GridPureState:
     tilde = grid.dx / np.sqrt(2.0 * np.pi * hbar) * phases * spectrum
     pgrid = grid.conjugate_grid(hbar)
     return GridPureState(pgrid, np.fft.fftshift(tilde), state.constants)
-
-
-def from_momentum(state: GridPureState, xgrid: GridSpec) -> GridPureState:
-    """Inverse of :func:`to_momentum` back onto the original position grid."""
-    hbar = state.constants.hbar
-    tilde = np.fft.ifftshift(state.amplitudes)
-    k = xgrid.wavenumbers()
-    phases = np.exp(1j * k * xgrid.x_min)
-    amps = np.fft.ifft(tilde * phases) * np.sqrt(2.0 * np.pi * hbar) / xgrid.dx
-    return GridPureState(xgrid, amps, state.constants)
 
 
 def momentum_density(state) -> tuple[np.ndarray, np.ndarray]:
@@ -561,30 +555,25 @@ def state_to_dict(state) -> dict:
 
 
 def state_from_dict(doc: dict, constants: Constants | None = None):
-    """Parse the JSON schema dictionary back into a normalized state.
-
-    Every state is normalized at load.  Non-finite entries and density
-    matrices that are not Hermitian positive semidefinite raise ParseError,
-    a zero state ZeroNorm.
-    """
-    constants = constants or Constants()
+    """Parse the JSON schema dictionary back into a (normalized) state.
+    Non-finite entries and density matrices that are not Hermitian positive
+    semidefinite raise ParseError, a zero state ZeroNorm."""
     try:
         name = doc["family"]
         grid = doc.get("grid", {})
         if name == "finite":
-            return normalize(FiniteState(_complex_array(doc["matrix"])))
-        matrix = _complex_array(doc["matrix"]) if "matrix" in doc else None
-        amps = _complex_array(doc["amplitudes"]) if matrix is None else np.zeros(len(matrix))
+            return FiniteState(_complex_array(doc["matrix"]))
         if name == "grid":
-            spec = GridSpec(int(grid["n_points"]), float(grid["x_min"]), float(grid["x_max"]))
-            state = GridPureState(spec, amps, constants)
+            space = GridSpec(int(grid["n_points"]), float(grid["x_min"]), float(grid["x_max"]))
         elif name == "periodic":
-            state = PeriodicState(int(grid["j_min"]), int(grid["j_max"]), amps, constants)
+            space = range(int(grid["j_min"]), int(grid["j_max"]) + 1)
         elif name == "fock":
-            state = fock_state(int(grid["n_max"]), amps, constants)
+            space = range(int(grid["n_max"]) + 1)
         else:
             raise ParseError(f"unknown state family {name!r}")
-        return normalize(state) if matrix is None else MixedState.from_matrix(state, matrix)
+        if "matrix" in doc:
+            return MixedState.from_matrix(_complex_array(doc["matrix"]), name, space, constants)
+        return pure_state(name, space, _complex_array(doc["amplitudes"]), constants)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad state document: {exc}") from exc
 
@@ -610,7 +599,7 @@ def gaussian_state(grid: GridSpec, sigma: float, center: float = 0.0, momentum: 
     x = grid.points()
     psi = np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)
                  + 1j * (momentum * x + chirp * (x - center) ** 2) / constants.hbar)
-    return normalize(GridPureState(grid, psi, constants))
+    return GridPureState(grid, psi, constants)
 
 
 def fock_basis_state(n: int, n_max: int | None = None,

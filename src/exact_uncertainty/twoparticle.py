@@ -15,15 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import ClassicalComponent, classical_estimate
-from .densities import MASKED_MASS_LIMIT, PlaneDensity, floor_mask
+from .densities import MASKED_MASS_LIMIT, floor_mask
 from .errors import GridResolution, VanishingDensity, ZeroNorm
 from .fisher import inverse_information, plane_information_rows
 from .grids import GridSpec, real_derivative_columns, row_blocks, spectral_derivative_axis
-from .states import ZERO_NORM, Constants, Grid2DPureState, GridPureState, normalize
-
-
-def position_plane_density(state: Grid2DPureState) -> PlaneDensity:
-    return PlaneDensity(state.grid_x, state.grid_y, state.position_density())
+from .states import ZERO_NORM, Constants, Grid2DPureState, GridPureState
 
 
 def _moment_sums(weights: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -380,9 +376,9 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
     Each block of rows is evaluated only on its band of columns within
     |x1 - x2 - a| <= 2 sigma sqrt(760): beyond it the exponent is below -760,
     and exp underflows to exactly 0 below -745.14, so psi stays at 0 there.
-    The norm is summed over whole rows and applied as a reciprocal multiply,
-    which is how numpy divides a complex array by a real scalar; psi equals
-    the full-grid formula's value by value (only the signs of zeros differ).
+    The norm is summed over whole rows and applied in place as a reciprocal
+    multiply (numpy's complex / real): psi equals the full-grid formula's value
+    by value (signs of zeros aside), and Grid2DPureState keeps it as unit norm.
     """
     constants = constants or Constants()
     span_sum = grid_x.length + grid_y.length
@@ -456,7 +452,7 @@ def collapse_position(state: Grid2DPureState, x: float,
     peak = state.peak_amplitude() ** 2 if peak_density is None else peak_density
     if col_density.max() <= 1e-12 * peak:
         raise VanishingDensity(f"no support at x2 = {x}")
-    collapsed = normalize(GridPureState(state.grid_x, column, state.constants))
+    collapsed = GridPureState(state.grid_x, column, state.constants)
     return collapsed, classical_estimate(collapsed, "position", "P")
 
 
@@ -479,7 +475,7 @@ def collapse_momentum(state: Grid2DPureState, p: float,
         marginal = momentum_marginal(state)
     if mass <= 1e-12 * float(marginal.max()):
         raise VanishingDensity(f"no support at p2 = {p}")
-    collapsed = normalize(GridPureState(state.grid_x, sliced, state.constants))
+    collapsed = GridPureState(state.grid_x, sliced, state.constants)
     return collapsed, classical_estimate(collapsed, "position", "P")
 
 

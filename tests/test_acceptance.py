@@ -45,7 +45,6 @@ from exact_uncertainty.states import (
     fock_basis_state,
     fock_state,
     gaussian_state,
-    normalize,
     variance,
 )
 from exact_uncertainty.twoparticle import (
@@ -76,7 +75,7 @@ def suite_states(n=50, seed=1234):
 def poissonian(mean, n_max):
     n = np.arange(n_max + 1)
     log_mag = 0.5 * (n * np.log(mean) - np.array([lgamma(v + 1.0) for v in n]) - mean)
-    return normalize(fock_state(n_max, np.exp(log_mag)))
+    return fock_state(n_max, np.exp(log_mag))
 
 
 def test_criterion_01_exact_position_momentum():
@@ -151,7 +150,7 @@ def test_criterion_03_wigner_identity():
 def test_criterion_04_phase_number():
     ok = False
     try:
-        sup = normalize(fock_state(1, np.array([1.0, 1.0])))
+        sup = fock_state(1, np.array([1.0, 1.0]))
         rep_sup = verify_phase_number(sup, tol=1e-4)
         assert rep_sup.verdict == EQUALITY and rep_sup.residual < 1e-4
 
@@ -340,8 +339,7 @@ def test_criterion_12_divergence_theorems():
         for n in (512, 1024, 2048, 4096):
             g = GridSpec(n, -10.0, 10.0)
             x = g.points()
-            st = normalize(GridPureState(
-                g, np.where(x >= 0, np.exp(-x ** 2 / 2), 0.0).astype(complex)))
+            st = GridPureState(g, np.where(x >= 0, np.exp(-x ** 2 / 2), 0.0).astype(complex))
             rep = verify_position_momentum(st)
             assert rep.verdict == FLAGGED
             assert rep.notes["flag"] == "zero-by-discontinuity"

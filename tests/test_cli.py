@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -449,3 +450,59 @@ def test_finite_state_file_infers_ivanovic(tmp_path, rng, d, expected_code):
         assert report["reports"][0]["relation_id"] == "ivanovic"
     else:
         assert report["kind"] == "NotPrime"
+
+
+# a value other than the default for every global flag but --out
+GLOBAL_VALUES = {"hbar": 2.0, "mass": 1.5, "omega": 0.5, "inertia": 3.0, "grid_n": 512,
+                 "tol_grid": 1e-5, "tol_finite": 1e-9, "tol_fock": 1e-5, "seed": 5}
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize("name", [flag.name for flag in fields(cli.RunConfig)])
+def test_global_flag_on_either_side_of_the_subcommand(tmp_path, name, before):
+    out = tmp_path / "out.json"
+    value = str(out) if name == "out" else GLOBAL_VALUES[name]
+    flag = ["--" + name.replace("_", "-"), str(value)]
+    command = ["verify", "--suite", "gaussian-random", "--n", "1"]
+    args = flag + command if before else command + flag
+    assert main(args if name == "out" else args + ["--out", str(out)]) == 0
+    provenance = json.loads(out.read_text())["provenance"]
+    if name != "out":
+        assert provenance[name] == value
+    assert set(provenance) == set(GLOBAL_VALUES) | {"version"}
+
+
+@pytest.mark.parametrize("args, flag, value", [
+    (["--hbar", "nan", "verify", "--suite", "gaussian-random", "--n", "1"], "hbar", "nan"),
+    (["--tol-grid", "-1", "verify", "--suite", "gaussian-random", "--n", "1"], "--tol-grid", "-1"),
+    (["--seed", "-1", "verify", "--suite", "gaussian-random", "--n", "1"], "--seed", "-1"),
+    (["diffusion", "--steps", "0"], "--steps", "0"),
+    (["energy-bound", "--model", "bouncer", "--gravity", "-1"], "--gravity", "-1"),
+], ids=["hbar-nan", "tol-grid-negative", "seed-negative", "steps-zero", "gravity-negative"])
+def test_bad_flag_value_is_named(capsys, args, flag, value):
+    # exit 2 with a parse document that names the flag and its value
+    assert main(args) == 2
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    assert doc["kind"] == "parse"
+    assert doc["error"].startswith(flag) and f"got {value}" in doc["error"]
+
+
+def test_closed_pipe_prints_no_traceback():
+    import os
+    import subprocess
+    import sys
+
+    import exact_uncertainty
+
+    # the report outgrows a pipe's buffer, so the reader closes the pipe
+    # while the report is still being written
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exact_uncertainty.__file__)))
+    child = subprocess.Popen([sys.executable, "-m", "exact_uncertainty.cli", "verify", "--suite",
+                              "gaussian-random", "--n", "100"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0  # the report's own exit code
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr

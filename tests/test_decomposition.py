@@ -22,7 +22,6 @@ from exact_uncertainty.states import (
     fock_state,
     gaussian_state,
     moment,
-    normalize,
     variance,
 )
 
@@ -93,7 +92,7 @@ class TestClassicalEstimate:
         grid = GridSpec(1024, -200.0, 200.0)
         x = grid.points()
         psi = np.where(np.abs(x) < 2.0, np.cos(np.pi * x / 4.0) ** 2, 0.0).astype(complex)
-        st = normalize(GridPureState(grid, psi))
+        st = GridPureState(grid, psi)
         comp = classical_estimate(st, "position", "P")
         assert comp.masked_mass < 1e-9
 
@@ -158,7 +157,7 @@ class TestSummary:
     def test_two_gaussian_superposition_additivity(self, grid):
         psi = (gaussian_state(grid, 1.0, center=-3.0, momentum=1.0).amplitudes
                + gaussian_state(grid, 0.8, center=3.0, momentum=-0.5).amplitudes)
-        st = normalize(GridPureState(grid, psi))
+        st = GridPureState(grid, psi)
         summ = decomposition_summary(st, "position", "P")
         assert summ.additivity_residual < 1e-8 * summ.var_total
 
@@ -197,7 +196,7 @@ class TestExtendedNumber:
         from math import lgamma
 
         log_mag = 0.5 * (n * np.log(mean) - np.array([lgamma(v + 1) for v in n]) - mean)
-        st = normalize(fock_state(40, np.exp(log_mag)))
+        st = fock_state(40, np.exp(log_mag))
         pom = extended_number_nonclassical(st, cutoff=80)
         comp = classical_estimate(st, "phase", "N")
         oracle = variance(st, "N") - comp.variance
@@ -205,12 +204,12 @@ class TestExtendedNumber:
         assert abs(pom.mean) < 1e-6
 
     def test_superposition_completeness(self):
-        st = normalize(fock_state(1, np.array([1.0, 1.0])))
+        st = fock_state(1, np.array([1.0, 1.0]))
         pom = extended_number_nonclassical(st, cutoff=10)
         assert pom.completeness_residual() < 1e-10
 
     def test_effects_positive(self):
-        st = normalize(fock_state(1, np.array([1.0, 1.0])))
+        st = fock_state(1, np.array([1.0, 1.0]))
         pom = extended_number_nonclassical(st, cutoff=10)
         for eff in pom.effects:
             eigs = np.linalg.eigvalsh(eff)
@@ -234,7 +233,7 @@ class TestEnergySplit:
         assert e_nc == pytest.approx(0.5, abs=1e-12)
 
     def test_superposition_total(self):
-        st = normalize(fock_state(2, np.array([1.0, 0.0, 1.0])))
+        st = fock_state(2, np.array([1.0, 0.0, 1.0]))
         e_cl, e_nc = energy_split(st)
         assert e_cl + e_nc == pytest.approx(1.5, rel=1e-12)
 

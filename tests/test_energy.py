@@ -19,7 +19,7 @@ from exact_uncertainty.energy import (
 )
 from exact_uncertainty.fisher import fisher_length
 from exact_uncertainty.grids import GridSpec
-from exact_uncertainty.states import Constants, GridPureState, gaussian_state, normalize
+from exact_uncertainty.states import Constants, GridPureState, gaussian_state
 
 
 def half_gaussian_density(grid, sigma):
@@ -50,7 +50,7 @@ class TestEnergyIdentity:
         # collapses onto the Fisher bound
         x = grid.points()
         psi = (np.exp(-(x - 1.0) ** 2 / 3.0) + 0.4 * np.exp(-(x + 2.0) ** 2 / 2.0))
-        st = normalize(GridPureState(grid, psi.astype(complex)))
+        st = GridPureState(grid, psi.astype(complex))
         model = EnergyModel("harmonic")
         parts = energy_identity(st, model)
         bound = fisher_bound(LineDensity(grid, st.position_density()), model)
@@ -91,7 +91,7 @@ class TestFisherBound:
         p = (np.exp(-(x - 1) ** 2 / 2.2) + 0.5 * np.exp(-(x + 1.5) ** 2 / 1.5))
         dens = LineDensity(grid, p).normalized()
         bound = fisher_bound(dens, model)
-        st = normalize(GridPureState(grid, np.sqrt(dens.values).astype(complex)))
+        st = GridPureState(grid, np.sqrt(dens.values).astype(complex))
         parts = energy_identity(st, model)
         assert bound.bound <= parts["direct_energy"] + 1e-8
         assert bound.bound == pytest.approx(parts["direct_energy"], rel=1e-6)
@@ -185,7 +185,7 @@ class TestOrderingAndDivergence:
             dens = LineDensity(grid, p).normalized()
             ent = entropic_bound(dens, model).bound
             fis = fisher_bound(dens, model).bound
-            st = normalize(GridPureState(grid, np.sqrt(dens.values).astype(complex)))
+            st = GridPureState(grid, np.sqrt(dens.values).astype(complex))
             direct = energy_identity(st, model)["direct_energy"]
             assert ent <= fis + 1e-8
             assert fis <= direct + 1e-8

@@ -32,7 +32,6 @@ from exact_uncertainty.states import (
     GridPureState,
     PeriodicState,
     gaussian_state,
-    normalize,
 )
 
 
@@ -178,7 +177,7 @@ class TestCircleCore:
             yield random_fock_state(rng).phase_density()
             # a few random harmonics: interference zeros and small swings
             amps = rng.normal(size=13) + 1j * rng.normal(size=13)
-            yield normalize(PeriodicState(-6, 6, amps)).phase_density()
+            yield PeriodicState(-6, 6, amps).phase_density()
         yield np.full(1024, 1 / (2 * np.pi))
         phi = 2 * np.pi * np.arange(1024) / 1024
         yield np.where(phi < np.pi, 1.0, 0.2)
@@ -264,7 +263,7 @@ class TestMixedFisher:
         grid = GridSpec(512, -8.0, 8.0)
         x = grid.points()
         psi = np.exp(1j * 2.0 * x) * np.exp(-x ** 8 / 7.5 ** 8)  # near-flat, soft edges
-        stp = normalize(GridPureState(grid, psi.astype(complex)))
+        stp = GridPureState(grid, psi.astype(complex))
         mix = GridMixedState.from_ensemble([(1.0, stp)])
         fm = fisher_length_mixed(mix)
         assert fm.divergence_flag == FINITE

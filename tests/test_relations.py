@@ -37,7 +37,6 @@ from exact_uncertainty.states import (
     fock_basis_state,
     fock_state,
     gaussian_state,
-    normalize,
     variance,
 )
 
@@ -46,7 +45,7 @@ def truncated_gaussian_state(n):
     g = GridSpec(n, -10.0, 10.0)
     x = g.points()
     psi = np.where(x >= 0, np.exp(-x ** 2 / 2), 0.0).astype(complex)
-    return normalize(GridPureState(g, psi))
+    return GridPureState(g, psi)
 
 
 # (sigma, center, k, beta, |weight|, weight phase in turns) of the two lumps
@@ -72,7 +71,7 @@ def under_resolved_state(hbar=1.0):
         weight = size * np.exp(2j * np.pi * turn)
         psi += weight * np.exp(-((x - center) ** 2) / (4.0 * sigma ** 2)
                                + 1j * (k * x + beta * (x - center) ** 2))
-    return normalize(GridPureState(grid, psi, Constants(hbar=hbar)))
+    return GridPureState(grid, psi, Constants(hbar=hbar))
 
 
 class TestPositionMomentum:
@@ -216,14 +215,14 @@ class TestConjugate:
     def test_state_with_momentum_gap_flagged(self, grid):
         # momentum lobe hard-truncated at its bulk: an O(1) jump bounding a
         # dead momentum band
-        from exact_uncertainty.states import from_momentum
+        from conftest import from_momentum
 
         pgrid = grid.conjugate_grid()
         p = pgrid.points()
         tilde = np.exp(-(p - 2.0) ** 2 / (2 * 0.7 ** 2)).astype(complex)
         tilde[p < 2.0] = 0.0
-        mom = normalize(GridPureState(pgrid, tilde))
-        st = normalize(from_momentum(mom, grid))
+        mom = GridPureState(pgrid, tilde)
+        st = from_momentum(mom, grid)
         report = verify_conjugate(st)
         assert report.verdict == FLAGGED
         assert report.notes["flag"] == "zero-by-discontinuity"
@@ -299,7 +298,7 @@ class TestPhaseAngular:
             coeffs = np.fft.fft(f) / m  # e^{-i j phi} coefficients
             j = np.arange(-j_max, j_max + 1)
             amps = coeffs[np.mod(j, m)] * np.sqrt(2 * np.pi * m / (2 * np.pi))
-            st = normalize(PeriodicState(-j_max, j_max, np.conj(amps)))
+            st = PeriodicState(-j_max, j_max, np.conj(amps))
             report = verify_phase_angular(st)
             spreads.append(np.sqrt(variance(st, "J")))
         assert spreads[0] < spreads[1] < spreads[2]
@@ -323,7 +322,7 @@ class TestPhaseNumber:
         assert report.notes["variance_classical"] < 1e-10
 
     def test_equal_superposition_equality(self):
-        st = normalize(fock_state(1, np.array([1.0, 1.0])))
+        st = fock_state(1, np.array([1.0, 1.0]))
         report = verify_phase_number(st, tol=1e-6)
         assert report.verdict == EQUALITY
         assert report.residual < 1e-6
@@ -456,7 +455,7 @@ class TestMultidim:
         s1, s2 = 0.9, 1.5
         x = g.points()
         psi = np.outer(np.exp(-x ** 2 / (4 * s1 ** 2)), np.exp(-x ** 2 / (4 * s2 ** 2)))
-        st = normalize(Grid2DPureState(g, g, psi.astype(complex)))
+        st = Grid2DPureState(g, g, psi.astype(complex))
         report = verify_multidim(st)
         assert report.verdict == EQUALITY
         fcov = np.array(report.notes["fisher_covariance"])
@@ -518,7 +517,7 @@ class TestMultidim:
         x = g.points()
         f1 = np.exp(-x ** 2 / 4 + 0.4j * x ** 2)
         f2 = np.exp(-x ** 2 / (4 * 1.3 ** 2))
-        st = normalize(Grid2DPureState(g, g, np.outer(f1, f2)))
+        st = Grid2DPureState(g, g, np.outer(f1, f2))
         report = verify_multidim(st)
         cov_nc = np.array(report.notes["cov_nonclassical"])
         fcov = np.array(report.notes["fisher_covariance"])
@@ -606,3 +605,78 @@ class TestFlagConsistency:
             assert r.verdict == EQUALITY and r.notes["heisenberg_satisfied"]
             rp = verify_phase_angular(random_periodic_state(rng))
             assert rp.verdict == EQUALITY and rp.notes["corollary_satisfied"]
+
+
+def _unit(amplitudes, measure=1.0):
+    """The amplitudes divided by their norm, on a path of the test's own."""
+    return amplitudes / np.sqrt(np.sum(np.abs(amplitudes) ** 2) * measure)
+
+
+class TestUnnormalizedInput:
+    """A state built from unnormalized amplitudes gets the verdict and the
+    left side of the normalized state: the constructors normalize."""
+
+    @staticmethod
+    def assert_same_report(scaled, unit, verdict, left):
+        assert scaled.verdict == unit.verdict == verdict
+        assert abs(scaled.left - unit.left) <= 1e-12 * abs(unit.left)
+        assert unit.left == pytest.approx(left, rel=1e-6)
+
+    @pytest.mark.parametrize("verify", [verify_position_momentum, verify_conjugate])
+    def test_scaled_gaussian(self, grid, verify):
+        psi = gaussian_state(grid, 1.0).amplitudes
+        report = verify(GridPureState(grid, 3.0 * psi))
+        self.assert_same_report(report, verify(GridPureState(grid, _unit(psi, grid.dx))),
+                                EQUALITY, 0.5)
+        assert abs(report.left - 0.5) < 1e-11  # the unit-norm Gaussian reads 0.5 + 1.4e-12 (xp)
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_two_lump_superposition(self, n):
+        g = GridSpec(n, -20.0, 20.0)
+        psi = (gaussian_state(g, 1.0, center=-3.0, momentum=1.0).amplitudes
+               + gaussian_state(g, 0.8, center=3.0, momentum=-0.5).amplitudes)
+        self.assert_same_report(verify_position_momentum(GridPureState(g, psi)),
+                                verify_position_momentum(GridPureState(g, _unit(psi, g.dx))),
+                                EQUALITY, 0.5)
+
+    def test_scaled_rotator(self):
+        j = np.arange(-5, 6)
+        c = np.exp(-(j - 0.5) ** 2 / 4.0 + 0.4j * j)
+        self.assert_same_report(verify_phase_angular(PeriodicState(-5, 5, 3.0 * c)),
+                                verify_phase_angular(PeriodicState(-5, 5, _unit(c))),
+                                EQUALITY, 0.5)
+
+    def test_scaled_fock_state(self):
+        n = np.arange(9)
+        c = np.exp(-(n - 3.0) ** 2 / 6.0 - 0.7j * n)
+        self.assert_same_report(verify_phase_number(fock_state(8, 3.0 * c)),
+                                verify_phase_number(fock_state(8, _unit(c))),
+                                EQUALITY, 0.5)
+
+    def test_scaled_plane_state(self):
+        st = random_gaussian_2d(np.random.default_rng(7))
+        measure = st.grid_x.dx * st.grid_y.dx
+        scaled = Grid2DPureState(st.grid_x, st.grid_y, 3.0 * st.amplitudes)
+        unit = Grid2DPureState(st.grid_x, st.grid_y, _unit(st.amplitudes, measure))
+        self.assert_same_report(verify_multidim(scaled), verify_multidim(unit), EQUALITY, 0.25)
+
+    def test_mixture_with_a_scaled_member(self, grid):
+        rng = np.random.default_rng(11)
+        a = random_smooth_grid_state(rng, grid)
+        b = random_smooth_grid_state(rng, grid)
+        scaled = MixedState.from_ensemble([(0.4, GridPureState(grid, 3.0 * a.amplitudes)),
+                                           (0.6, b)])
+        unit = MixedState.from_ensemble([(0.4, a), (0.6, b)])
+        report, reference = verify_position_momentum(scaled), verify_position_momentum(unit)
+        assert report.verdict == reference.verdict == INEQUALITY
+        assert abs(report.left - reference.left) <= 1e-12 * reference.left
+
+    def test_scaled_finite_state(self, rng):
+        v = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        bases = mub_construct(3)
+        report, reference = verify_ivanovic(FiniteState(2.0 * rho), bases), verify_ivanovic(
+            FiniteState(rho), bases)
+        assert report.verdict == reference.verdict == EQUALITY
+        assert abs(report.left - reference.left) <= 1e-12 * reference.left
+        assert abs(report.right - reference.right) <= 1e-12 * reference.right

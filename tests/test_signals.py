@@ -94,7 +94,7 @@ class TestExactRelation:
         # the same samples as a wavefunction with hbar = 1/(2 pi) must give
         # the same relation values
         from exact_uncertainty.relations import verify_position_momentum
-        from exact_uncertainty.states import Constants, GridPureState, normalize
+        from exact_uncertainty.states import Constants, GridPureState
 
         t = tgrid.points()
         a = (np.exp(-(t - 1) ** 2 / 2.2 + 2j * np.pi * 0.8 * t)
@@ -102,8 +102,7 @@ class TestExactRelation:
         sig = signal_from_samples(t, a)
         r_sig = verify_time_frequency(sig)
 
-        st = normalize(GridPureState(tgrid, sig.amplitudes,
-                                     Constants(hbar=1.0 / (2.0 * np.pi))))
+        st = GridPureState(tgrid, sig.amplitudes, Constants(hbar=1.0 / (2.0 * np.pi)))
         r_xp = verify_position_momentum(st)
         assert abs(r_sig.left - r_xp.left) < 1e-10
         assert abs(r_sig.right - r_xp.right) < 1e-16

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from exact_uncertainty.decomposition import classical_estimate
-from exact_uncertainty.errors import UnsupportedObservable, ZeroNorm
+from exact_uncertainty.errors import ParseError, UnsupportedObservable, ZeroNorm
 from exact_uncertainty.grids import GridSpec
+from conftest import from_momentum
 from exact_uncertainty.random_states import (
     random_finite_state,
     random_fock_state,
@@ -14,6 +15,7 @@ from exact_uncertainty.random_states import (
 from exact_uncertainty.states import (
     Constants,
     FiniteState,
+    Grid2DPureState,
     GridMixedState,
     GridPureState,
     MixedState,
@@ -21,17 +23,15 @@ from exact_uncertainty.states import (
     evolve_step,
     fock_basis_state,
     fock_state,
-    from_momentum,
     gaussian_state,
     moment,
     momentum_density,
-    normalize,
+    pure_state,
     state_from_dict,
     state_to_dict,
     to_momentum,
     variance,
 )
-from exact_uncertainty.errors import ParseError
 
 
 def test_constants_positive():
@@ -39,20 +39,80 @@ def test_constants_positive():
         Constants(hbar=-1.0)
 
 
+def _unit_states():
+    """One unit-norm state of each pure class, and its constructor."""
+    g = GridSpec(64, -8.0, 8.0)
+    x = g.points()
+    line = np.exp(-(x - 0.5) ** 2 / 2 + 0.7j * x)
+    labels = np.exp(-(np.arange(-5, 6) - 1.0) ** 2 / 4.5 + 0.3j * np.arange(11))
+    return [
+        (lambda a: GridPureState(g, a), GridPureState(g, line).amplitudes),
+        (lambda a: PeriodicState(-5, 5, a), PeriodicState(-5, 5, labels).amplitudes),
+        (lambda a: fock_state(10, a), fock_state(10, labels).amplitudes),
+        (lambda a: Grid2DPureState(g, g, a), Grid2DPureState(g, g, np.outer(line, line)).amplitudes),
+    ]
+
+
 class TestNormalize:
+    """Every pure state is normalized where it is built, at any scale."""
+
     def test_identity_on_normalized(self, grid):
+        # a normalized input keeps its bits
         st = gaussian_state(grid, 1.0)
-        again = normalize(st)
-        assert np.allclose(again.amplitudes, st.amplitudes)
+        assert np.array_equal(GridPureState(grid, st.amplitudes).amplitudes, st.amplitudes)
+        for build, unit in _unit_states():
+            assert np.array_equal(build(unit).amplitudes, unit)
 
     def test_scaling(self, grid):
         st = gaussian_state(grid, 1.0)
         scaled = GridPureState(grid, 3.0 * st.amplitudes)
-        assert np.allclose(normalize(scaled).amplitudes, st.amplitudes)
+        assert np.allclose(scaled.amplitudes, st.amplitudes, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e-8, 3.0, 1e100, 1e200])
+    def test_any_scale(self, scale):
+        for build, unit in _unit_states():
+            st = build(scale * unit)
+            assert st.norm_squared == pytest.approx(1.0, abs=1e-14)
+            assert np.max(np.abs(st.amplitudes - unit)) < 1e-14 * np.max(np.abs(unit))
 
     def test_zero_norm(self, grid):
         with pytest.raises(ZeroNorm):
-            normalize(GridPureState(grid, np.zeros(grid.n_points)))
+            GridPureState(grid, np.zeros(grid.n_points))
+        for build, unit in _unit_states():
+            with pytest.raises(ZeroNorm):
+                build(np.zeros_like(unit))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry(self, entry):
+        for build, unit in _unit_states():
+            bad = unit.copy()
+            bad.flat[3] = entry
+            with pytest.raises(ParseError):
+                build(bad)
+
+    def test_finite_trace(self, rng):
+        rho = random_finite_state(rng, 3, pure=False).matrix
+        assert np.array_equal(FiniteState(rho).matrix, rho)
+        for scale in (1e-200, 2.0, 1e200):
+            assert np.max(np.abs(FiniteState(scale * rho).matrix - rho)) < 1e-15
+        with pytest.raises(ZeroNorm):
+            FiniteState(np.zeros((3, 3)))
+
+    def test_2d_norm_makes_no_full_size_temporary(self):
+        import tracemalloc
+
+        g = GridSpec(512, -8.0, 8.0)
+        x = g.points()
+        psi = Grid2DPureState(g, g, np.outer(np.exp(-x ** 2 / 2), np.exp(-x ** 2 / 3))).amplitudes
+        tracemalloc.start()
+        try:
+            st = Grid2DPureState(g, g, psi)
+            norm = st.norm_squared
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(1.0, abs=1e-14)
+        assert peak < psi.size * 8 / 4  # |psi|^2 of the whole grid would be psi.size * 8 bytes
 
 
 class TestMomentum:
@@ -87,6 +147,11 @@ class TestMomentum:
         st = random_smooth_grid_state(rng, grid)
         mom = to_momentum(st)
         assert mom.norm_squared == pytest.approx(1.0, abs=1e-10)
+        # the constructor normalizes, so Parseval is checked on an overlap
+        other = random_smooth_grid_state(rng, grid)
+        overlap = np.vdot(st.amplitudes, other.amplitudes) * grid.dx
+        assert np.vdot(mom.amplitudes, to_momentum(other).amplitudes) * mom.grid.dx \
+            == pytest.approx(overlap, abs=1e-10)
         back = from_momentum(mom, grid)
         assert np.max(np.abs(back.amplitudes - st.amplitudes)) < 1e-10
 
@@ -143,6 +208,10 @@ class TestEvolve:
         v = 0.5 * grid.points() ** 2
         out = evolve_step(st, v, 1e-3)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-10)
+        # the constructor normalizes, so unitarity is checked on an overlap
+        other = random_smooth_grid_state(rng, grid)
+        assert np.vdot(out.amplitudes, evolve_step(other, v, 1e-3).amplitudes) * grid.dx \
+            == pytest.approx(np.vdot(st.amplitudes, other.amplitudes) * grid.dx, abs=1e-10)
 
     def test_rotator_pendulum_norm(self, rng):
         from exact_uncertainty.random_states import random_periodic_state
@@ -151,6 +220,9 @@ class TestEvolve:
         v = np.cos(st.phase_grid())
         out = evolve_step(st, v, 1e-3)
         assert out.norm_squared == pytest.approx(1.0, abs=1e-10)
+        other = random_periodic_state(rng)  # unitarity, on an overlap
+        assert np.vdot(out.amplitudes, evolve_step(other, v, 1e-3).amplitudes) \
+            == pytest.approx(np.vdot(st.amplitudes, other.amplitudes), abs=1e-10)
 
     def test_split_step_is_second_order(self, grid):
         # coherent oscillator state: <X(t)> = x0 cos(t); the global error
@@ -215,14 +287,14 @@ class TestMixed:
         mat = np.zeros((grid.n_points, grid.n_points), dtype=complex)
         mat[0, 1] = 1.0
         with pytest.raises(ValueError):
-            MixedState.from_matrix(GridPureState(grid, np.zeros(grid.n_points)), mat)
+            MixedState.from_matrix(mat, "grid", grid)
 
     def test_matrix_is_factored_and_normalized(self):
         small = GridSpec(128, -10.0, 10.0)
         a = gaussian_state(small, 1.0, center=-1.5)
         b = gaussian_state(small, 0.8, center=1.5, momentum=1.0)
         mix = GridMixedState.from_ensemble([(0.6, a), (0.4, b)])
-        back = MixedState.from_matrix(mix.members[0], 3.0 * mix.matrix)
+        back = MixedState.from_matrix(3.0 * mix.matrix, "grid", small)
         assert isinstance(back, MixedState) and len(back.members) == 2
         assert back.trace == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(back.matrix - mix.matrix)) < 1e-12
@@ -232,10 +304,10 @@ class TestMixed:
         a = gaussian_state(small, 1.0, center=-1.0).amplitudes
         b = gaussian_state(small, 1.0, center=1.0).amplitudes
         with pytest.raises(ValueError):
-            MixedState.from_matrix(GridPureState(small, a),
-                                   np.outer(a, a.conj()) - 0.3 * np.outer(b, b.conj()))
+            MixedState.from_matrix(np.outer(a, a.conj()) - 0.3 * np.outer(b, b.conj()),
+                                   "grid", small)
         with pytest.raises(ZeroNorm):
-            MixedState.from_matrix(fock_state(3, np.zeros(4)), np.zeros((4, 4)))
+            MixedState.from_matrix(np.zeros((4, 4)), "fock", range(4))
 
     def test_member_sums_match_matrix_oracle(self, rng):
         # the n x n sandwiches <a|rho|a> and <a|B rho + rho B|a>/2, evaluated
@@ -287,7 +359,7 @@ class TestJsonSchema:
 
     def test_periodic_round_trip(self):
         amps = np.exp(-np.arange(-4, 5) ** 2 / 4.0)
-        st = normalize(PeriodicState(-4, 4, amps))
+        st = PeriodicState(-4, 4, amps)
         back = state_from_dict(state_to_dict(st))
         assert np.allclose(back.amplitudes, st.amplitudes)
 
@@ -296,6 +368,23 @@ class TestJsonSchema:
         mix = GridMixedState.from_ensemble([(1.0, gaussian_state(small, 1.0))])
         back = state_from_dict(state_to_dict(mix))
         assert np.max(np.abs(back.matrix - mix.matrix)) < 1e-15
+
+    @pytest.mark.parametrize("family, space", [("grid", GridSpec(32, -6.0, 6.0)),
+                                               ("periodic", range(-3, 5)),
+                                               ("fock", range(8))])
+    def test_from_matrix_round_trips_through_a_file(self, family, space, rng):
+        import json
+
+        n = space.n_points if family == "grid" else len(space)
+        members = [_random_vector(rng, n) for _ in range(2)]
+        mix = MixedState.from_ensemble([(0.3, pure_state(family, space, members[0])),
+                                        (0.7, pure_state(family, space, members[1]))])
+        direct = MixedState.from_matrix(mix.matrix, family, space)
+        back = state_from_dict(json.loads(json.dumps(state_to_dict(mix))))
+        for state in (direct, back):
+            assert state.family == family and len(state.members) == 2
+            assert state.trace == pytest.approx(1.0, abs=1e-14)
+            assert np.max(np.abs(state.matrix - mix.matrix)) < 1e-13 * np.max(np.abs(mix.matrix))
 
     def test_bad_document(self):
         with pytest.raises(ParseError):
@@ -311,9 +400,9 @@ def _random_vector(rng, size):
 def _random_state(kind, rng):
     """One state of each serializable family, pure and mixed."""
     pure = {
-        "grid": lambda: normalize(GridPureState(GridSpec(16, -4.0, 4.0), _random_vector(rng, 16))),
-        "periodic": lambda: normalize(PeriodicState(-3, 4, _random_vector(rng, 8))),
-        "fock": lambda: normalize(fock_state(7, _random_vector(rng, 8))),
+        "grid": lambda: GridPureState(GridSpec(16, -4.0, 4.0), _random_vector(rng, 16)),
+        "periodic": lambda: PeriodicState(-3, 4, _random_vector(rng, 8)),
+        "fock": lambda: fock_state(7, _random_vector(rng, 8)),
     }
     if kind == "finite":
         return random_finite_state(rng, 4, pure=False)

@@ -3,7 +3,7 @@ import pytest
 
 from exact_uncertainty.errors import GridResolution, VanishingDensity
 from exact_uncertainty.grids import GridSpec
-from exact_uncertainty.states import Grid2DPureState, normalize
+from exact_uncertainty.states import Grid2DPureState
 from exact_uncertainty.twoparticle import (
     EprParams,
     build_epr,
@@ -37,7 +37,7 @@ def product_state(n=192, span=10.0, k1=0.0, chirp1=0.0):
     x = g.points()
     f1 = np.exp(-x ** 2 / 4.0 + 1j * (k1 * x + chirp1 * x ** 2))
     f2 = np.exp(-x ** 2 / (4 * 1.3 ** 2))
-    return normalize(Grid2DPureState(g, g, np.outer(f1, f2)))
+    return Grid2DPureState(g, g, np.outer(f1, f2))
 
 
 class TestBuild:
@@ -171,7 +171,7 @@ class TestDecomposition2D:
                        np.exp(-(x - 2) ** 2 / 4))
         f_b = np.outer(np.exp(-(x + 2) ** 2 / 4 - 0.8j * x),
                        np.exp(-(x + 2) ** 2 / 4))
-        st = normalize(Grid2DPureState(g, g, f_a + f_b))
+        st = Grid2DPureState(g, g, f_a + f_b)
 
         def variation_over_x2(state):
             parts = nonclassical_components_2d(state)
@@ -198,15 +198,15 @@ class TestCorrelationRelation:
 
     def test_random_gaussians_cancel_exactly(self, rng):
         from exact_uncertainty.random_states import random_gaussian_2d
+        from exact_uncertainty.densities import PlaneDensity
         from exact_uncertainty.fisher import fisher_covariance
-        from exact_uncertainty.twoparticle import position_plane_density
 
         for _ in range(5):
             st = random_gaussian_2d(rng)
             rel = correlation_relation(st)
             assert rel.residual < 1e-6
             # Fisher correlation equals the Pearson one for Gaussians
-            fcov = fisher_covariance(position_plane_density(st))
+            fcov = fisher_covariance(PlaneDensity(st.grid_x, st.grid_y, st.position_density()))
             parts = nonclassical_components_2d(st)
             assert pearson_from_cov(fcov) == pytest.approx(
                 pearson_from_cov(parts.cov_position), abs=1e-6)
@@ -293,11 +293,10 @@ class TestLocality:
         core = st.position_density() > 1e-6 * st.position_density().max()
 
         # displacement of particle 2 by whole cells, and a momentum boost
-        rolled = normalize(Grid2DPureState(st.grid_x, st.grid_y,
-                                           np.roll(st.amplitudes, 7, axis=1)))
-        boosted = normalize(Grid2DPureState(
+        rolled = Grid2DPureState(st.grid_x, st.grid_y, np.roll(st.amplitudes, 7, axis=1))
+        boosted = Grid2DPureState(
             st.grid_x, st.grid_y,
-            st.amplitudes * np.exp(1.3j * st.grid_y.points())[None, :]))
+            st.amplitudes * np.exp(1.3j * st.grid_y.points())[None, :])
         for altered in (rolled, boosted):
             parts2 = nonclassical_components_2d(altered)
             joint = core & (altered.position_density()
@@ -383,11 +382,12 @@ class TestOneDecompositionPerReport:
         assert whole_axis0 == [np.complex128]
 
     def test_blocked_reductions_match_unblocked_formulas(self, small_epr, small_epr_reference):
+        from exact_uncertainty.densities import PlaneDensity
         from exact_uncertainty.fisher import fisher_covariance
         from exact_uncertainty.grids import row_blocks
-        from exact_uncertainty.twoparticle import position_plane_density
 
         st = small_epr
+        plane = PlaneDensity(st.grid_x, st.grid_y, st.position_density())
         assert len(list(row_blocks(*st.amplitudes.shape))) > 2
         ref = small_epr_reference
         parts = nonclassical_components_2d(st)
@@ -403,7 +403,7 @@ class TestOneDecompositionPerReport:
                           ("cov_momentum", parts.cov_momentum),
                           ("cov_nonclassical", parts.cov_nonclassical),
                           ("cov_fisher", parts.cov_fisher),
-                          ("cov_fisher", fisher_covariance(position_plane_density(st)))):
+                          ("cov_fisher", fisher_covariance(plane))):
             np.testing.assert_allclose(got, ref[name], rtol=1e-12, atol=0.0, err_msg=name)
         # Cov(P_cl) and <P_nc> nearly vanish here: they are compared on the
         # scale of Cov(P), as the additivity residual is
@@ -521,7 +521,7 @@ class TestStreamedDecomposition:
                 psi[:, :20] = psi[:, 80:] = 0.0
                 if case == "cut_mirrored":
                     psi = psi[:, ::-1]
-            st = normalize(Grid2DPureState(g, g, psi))
+            st = Grid2DPureState(g, g, psi)
             ref = unblocked_reference(st)
             monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 16 * 96)
         blocks = list(grids.row_blocks(*st.amplitudes.shape))

@@ -18,7 +18,6 @@ from exact_uncertainty.states import (
     MixedState,
     ensemble_sum,
     gaussian_state,
-    normalize,
     to_momentum,
 )
 from exact_uncertainty import wigner
@@ -53,7 +52,7 @@ class TestTransform:
         a, sigma = 4.0, 1.0
         raw = gaussian_state(grid, sigma, center=-a).amplitudes \
             + gaussian_state(grid, sigma, center=a).amplitudes
-        cat = normalize(GridPureState(grid, raw))
+        cat = GridPureState(grid, raw)
         w = wigner_transform(cat)
         x, p = np.meshgrid(w.x_grid.points(), w.p_grid.points(), indexing="ij")
         overlap = np.exp(-a ** 2 / (2 * sigma ** 2))
@@ -115,7 +114,7 @@ class TestHalfSlices:
         pure = random_smooth_grid_state(rng, self.grid)
         raw = gaussian_state(self.grid, 1.0, center=-3.0).amplitudes \
             + gaussian_state(self.grid, 1.0, center=3.0).amplitudes
-        cat = normalize(GridPureState(self.grid, raw))
+        cat = GridPureState(self.grid, raw)
         rank2 = GridMixedState.from_ensemble(
             [(0.35, random_smooth_grid_state(rng, self.grid)), (0.65, pure)])
         scaled = random_smooth_grid_state(rng, self.grid, Constants(hbar=0.7))
@@ -298,7 +297,7 @@ class TestAverageMomentum:
     def test_matches_classical_estimate_on_superposition(self, grid):
         raw = gaussian_state(grid, 1.0, center=-3.0, momentum=1.0).amplitudes \
             + gaussian_state(grid, 0.9, center=3.0, momentum=-0.6).amplitudes
-        st = normalize(GridPureState(grid, raw))
+        st = GridPureState(grid, raw)
         w = wigner_transform(st)
         _, pav, mask = wigner_average_momentum(w)
         comp = classical_estimate(st, "position", "P")
