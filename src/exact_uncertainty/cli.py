@@ -243,6 +243,7 @@ def cmd_verify(config: RunConfig, args) -> tuple[int, dict]:
         raise ParseError("verify needs a state file or --suite")
     reports: list[RelationReport] = []
     if args.suite is not None:
+        _positive(n=args.n)  # a suite that runs nothing would report a pass
         reports.extend(_run_suite(config, args.suite, args.n))
     if args.state is not None:
         state = _load_state(args.state, config.constants())
@@ -373,6 +374,10 @@ def cmd_wigner(config: RunConfig, args) -> tuple[int, dict]:
 def cmd_energy_bound(config: RunConfig, args) -> tuple[int, dict]:
     constants = config.constants()
     if args.model == "coulomb":
+        # Z q^2 <= 0 binds nothing: no ground state to bound
+        _positive(nuclear_charge=args.nuclear_charge)
+        if not (np.isfinite(args.charge) and args.charge != 0):
+            raise ParseError(f"--charge must be finite and nonzero, got {args.charge}")
         rep = coulomb_groundstate_bound(args.nuclear_charge, args.charge, constants)
         doc = {"model": "coulomb", "bound": rep.bound, "closed_form": rep.comparison,
                "minimizer": rep.minimizer}

@@ -18,9 +18,9 @@ from .densities import MASKED_MASS_LIMIT, DiscreteDistribution, LineDensity, Pla
 from .errors import SingularInformation, UnstableStep, VanishingDensity
 from .grids import (
     GridSpec,
+    density_derivative_columns,
     local_derivative,
     real_derivative_axis,
-    real_derivative_columns,
     row_blocks,
     spectral_derivative,
 )
@@ -208,7 +208,7 @@ def fisher_covariance(density) -> np.ndarray:
     density = density.normalized()
     p = density.values
     mask = density.mask()
-    grad_x = real_derivative_columns(lambda cols: p[:, cols], p.shape, density.grid_x)
+    grad_x, _ = density_derivative_columns(p, density.grid_x)
     sums = np.zeros(3)
     for rows in row_blocks(*p.shape):
         sums += plane_information_rows(p[rows], grad_x[rows], mask[rows], density.grid_y)
@@ -221,7 +221,7 @@ def plane_information_rows(p: np.ndarray, grad_x: np.ndarray, mask: np.ndarray,
     retained points of a block of whole rows of a plane density.
 
     ``grad_x`` is the block's share of the spectral derivative along the
-    rows, which needs whole columns (``real_derivative_columns``); the
+    rows, which needs whole columns (``density_derivative_columns``); the
     derivative along y is taken here.
     """
     grad_y = real_derivative_axis(p, grid_y, axis=1)[mask]

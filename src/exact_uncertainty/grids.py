@@ -7,6 +7,8 @@ near machine precision.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,33 +88,22 @@ def spectral_derivative_axis(values, grid: GridSpec, axis: int, out=None) -> np.
     return np.fft.ifft(spec, axis=axis, out=spec)
 
 
-def real_derivative_axis(values, grid: GridSpec, axis: int) -> np.ndarray:
+def real_derivative_axis(values, grid: GridSpec, axis: int, out=None, spec=None) -> np.ndarray:
     """Spectral first derivative of real samples along one axis, through the
     half spectrum (``rfft``/``irfft``): float64 of the input's shape, equal
-    to the real part of ``spectral_derivative_axis`` up to rounding."""
+    to the real part of ``spectral_derivative_axis`` up to rounding.
+
+    The derivative goes to ``out`` and the half spectrum to ``spec`` when
+    they are given, else to new arrays.
+    """
     values = np.asarray(values, dtype=float)
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.dx)
     k[-1] = 0.0  # the Nyquist bin
     shape = [1] * values.ndim
     shape[axis] = k.size
-    spec = np.fft.rfft(values, axis=axis)
+    spec = np.fft.rfft(values, axis=axis, out=spec)
     spec *= (1j * k).reshape(shape)
-    return np.fft.irfft(spec, n=grid.n_points, axis=axis)
-
-
-def real_derivative_columns(columns, shape: tuple[int, int], grid: GridSpec) -> np.ndarray:
-    """``real_derivative_axis(values, grid, axis=0)`` of a real matrix of
-    ``shape`` whose columns ``columns(cols)`` returns for a slice ``cols``.
-
-    The columns are fetched and transformed one block at a time, so the
-    float64 result is the only full-size array; each column's transform is
-    the whole-matrix one, bit for bit.
-    """
-    n_rows, n_cols = shape
-    out = np.empty(shape)
-    for cols in row_blocks(n_cols, n_rows):  # whole columns instead of whole rows
-        out[:, cols] = real_derivative_axis(columns(cols), grid, axis=0)
-    return out
+    return np.fft.irfft(spec, n=grid.n_points, axis=axis, out=out)
 
 
 # byte budget of one complex row block in the blocked 2D reductions: 102
@@ -121,6 +112,11 @@ BLOCK_BYTES = 8 << 20
 # row cap of a default block: the temporaries of a 96 x 384 block, about
 # five times its 576 KiB of samples, fit a 4 MiB L2 (a whole 384^2 grid's do not)
 BLOCK_ROWS = 96
+# arrays above this size run their FFT-bound block passes on two threads
+# (block_workers).  The EPR decomposition on 2 cores, pooled against serial:
+# 384^2 (2.25 MiB, the multidim report) 20% slower, 1536^2 (36 MiB) -8%
+# within the noise, 2048^2 (64 MiB) -13%, 3584^2 and 5120^2 (400 MiB) -20%
+POOL_BYTES = 48 << 20
 
 
 def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
@@ -133,6 +129,87 @@ def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
     step = max(1, min(BLOCK_ROWS, (BLOCK_BYTES if budget is None else budget) // (16 * n_cols)))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
+
+
+def block_workers(nbytes: int) -> int:
+    """Threads for the FFT-bound block passes over an array of ``nbytes``:
+    2 above POOL_BYTES when the process may run on two CPUs, else 1."""
+    if nbytes <= POOL_BYTES:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return 2 if (cpus or 1) >= 2 else 1
+
+
+_pool = None  # the two-thread pool of block_map, made on first use
+_pool_lock = threading.Lock()
+
+
+def block_map(fn, blocks, workers: int, scratch=tuple):
+    """``fn(block, buffers)`` for each block, the results in block order.
+
+    One worker runs the blocks in turn (the built-in ``map``); two run them
+    on a two-thread pool, which holds the GIL only between numpy calls.
+    ``scratch()`` makes one set of buffers, and the caller makes one set
+    per worker: each block borrows a set that no running block holds, so
+    the workers allocate no block temporaries (a worker thread's malloc
+    arena would keep them, and the process's RSS would grow).
+    """
+    global _pool
+    if workers == 1:
+        buffers = scratch()
+        return map(lambda block: fn(block, buffers), blocks)
+    # imported here: a process that never pools pays nothing at import
+    import queue
+    from concurrent.futures import ThreadPoolExecutor
+
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(scratch())
+
+    def run(block):
+        buffers = free.get()
+        try:
+            return fn(block, buffers)
+        finally:
+            free.put(buffers)
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(2, thread_name_prefix="block")
+    return _pool.map(run, blocks)
+
+
+def density_derivative_columns(values: np.ndarray, grid: GridSpec):
+    """dp/dx along axis 0 of the density p = |values|^2 (complex values) or
+    p = values (real), and max p.
+
+    p is formed and transformed one block of whole columns at a time
+    (``block_map``), so the float64 derivative is the only full-size array;
+    each column's transform is ``real_derivative_axis``'s whole-matrix
+    one, bit for bit.
+    """
+    n_rows, n_cols = values.shape
+    squared = np.iscomplexobj(values)
+    out = np.empty(values.shape)
+    blocks = list(row_blocks(n_cols, n_rows))  # whole columns instead of whole rows
+    width = blocks[0].stop
+
+    def scratch():
+        return (np.empty((n_rows, width)) if squared else None,
+                np.empty((n_rows // 2 + 1, width), complex))
+
+    def derivative(cols, buffers):
+        n = cols.stop - cols.start
+        if squared:
+            p = np.abs(values[:, cols], out=buffers[0][:, :n])
+            p *= p
+        else:
+            p = values[:, cols]
+        real_derivative_axis(p, grid, 0, out=out[:, cols], spec=buffers[1][:, :n])
+        return p.max()
+
+    peaks = block_map(derivative, blocks, block_workers(values.nbytes), scratch)
+    return out, max(peaks)
 
 
 def local_derivative(values, dx: float) -> np.ndarray:

@@ -18,7 +18,14 @@ from .decomposition import ClassicalComponent, classical_estimate
 from .densities import MASKED_MASS_LIMIT, floor_mask
 from .errors import GridResolution, VanishingDensity, ZeroNorm
 from .fisher import inverse_information, plane_information_rows
-from .grids import GridSpec, real_derivative_columns, row_blocks, spectral_derivative_axis
+from .grids import (
+    GridSpec,
+    block_map,
+    block_workers,
+    density_derivative_columns,
+    row_blocks,
+    spectral_derivative_axis,
+)
 from .states import ZERO_NORM, Constants, Grid2DPureState, GridPureState
 
 
@@ -109,7 +116,7 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     The passes over psi:
 
     1. dp/dx1, transformed along x1 from blocks of whole columns of
-       p = |psi|^2 (``real_derivative_columns``), and max p over the same
+       p = |psi|^2 (``density_derivative_columns``), and max p over the same
        column blocks;
     2. per block of rows: the mask, the masked and total mass, the position
        moments from the row and column sums (``_separable_sums``) and the
@@ -125,6 +132,19 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
        components, their sums and the mixed-partials residual only on the
        block's window of retained columns (``_row_sums``).
 
+    On a psi above ``grids.POOL_BYTES`` (the 5120^2 grid, not the 384^2
+    multidim case) the FFT-bound passes 1 and 3 run on two threads
+    (``grids.block_map``): their column and row blocks, and the axis-0
+    transforms of pass 3 in two column halves.  Each block returns its
+    partial sums, which are added in block order, so every result is bit
+    for bit the serial one.  The blocks write into buffers the caller
+    makes, one set per thread (``np.abs``, ``rfft``, ``fft`` and ``irfft``
+    with ``out=``): temporaries freed on a worker thread stay in its malloc
+    arena, and the peak RSS would grow.  Passes 2 and 4 stay serial: their
+    BLAS dot products (``plane_information_rows``' ``@``, ``_row_sums``'
+    ``np.vdot``) wake OpenBLAS's second thread, which then competes with
+    the other block for the second core.
+
     Two quantities keep paths of their own on purpose.  Cov(P) comes from
     |psi~|^2, not from <d psi|d psi>: with the same d(psi) the additivity
     residual would be an algebraic identity.  The Fisher information comes
@@ -139,15 +159,9 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     gx, gy = state.grid_x, state.grid_y
     n1, n2 = psi.shape
     x1, x2 = gx.points(), gy.points()
-    peak = 0.0                  # max |psi|^2, from the column blocks of pass 1
+    workers = block_workers(psi.nbytes)
 
-    def density_columns(cols):
-        nonlocal peak
-        p_cols = np.abs(psi[:, cols]) ** 2
-        peak = max(peak, p_cols.max())
-        return p_cols
-
-    grad_x = real_derivative_columns(density_columns, psi.shape, gx)
+    grad_x, peak = density_derivative_columns(psi, gx)
     mask = np.empty(psi.shape, dtype=bool)
     position = np.zeros(5)      # p-weighted sums of x1, x2, x1^2, x1 x2, x2^2
     information = np.zeros(3)
@@ -164,23 +178,45 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     if masked * w > MASKED_MASS_LIMIT:
         raise VanishingDensity("2D density vanishes on > 20% of mass")
 
+    # the axis-0 transforms run on one range of columns per worker
+    col_ranges = [slice(i * n2 // workers, (i + 1) * n2 // workers) for i in range(workers)]
     # rows padded by one sample spread each column over the cache sets: faster axis-0 FFTs
-    spec = np.fft.fft(psi, axis=0, out=np.empty((n1, n2 + 1), dtype=complex)[:, :n2])
+    spec = np.empty((n1, n2 + 1), dtype=complex)[:, :n2]
+    list(block_map(lambda cols, _: np.fft.fft(psi[:, cols], axis=0, out=spec[:, cols]),
+                   col_ranges, workers))
     kx = gx.wavenumbers()
     k1, k2 = hbar * kx, hbar * gy.wavenumbers()
+    blocks = list(row_blocks(n1, n2))
+    height = blocks[0].stop
+
+    def spectrum_rows(rows, buffers):
+        """The block's |psi~|^2 sums: its rows of spec transformed along x2."""
+        transformed, dens = (buffer[:rows.stop - rows.start] for buffer in buffers)
+        np.fft.fft(spec[rows], axis=1, out=transformed)
+        np.abs(transformed, out=dens)
+        dens *= dens
+        return _separable_sums(dens, k1[rows], k2)
+
     momentum = np.zeros(5)      # |psi~|^2-weighted sums of k1, k2, k1^2, k1 k2, k2^2
     marginal = np.zeros(n2)     # |psi~|^2 summed over k1
-    for rows in row_blocks(n1, n2):
-        dens = np.abs(np.fft.fft(spec[rows], axis=1))
-        dens *= dens
-        block, cols = _separable_sums(dens, k1[rows], k2)
+    for block, cols in block_map(spectrum_rows, blocks, workers,
+                                 lambda: (np.empty((height, n2), complex), np.empty((height, n2)))):
         momentum += block
         marginal += cols
     # unnormalized DFT: sum |psi~|^2 = psi.size sum |psi|^2, box-offset phases drop
     momentum *= w / psi.size
     kx[gx.n_points // 2] = 0.0
-    spec *= (1j * kx)[:, None]
-    d1 = np.fft.ifft(spec, axis=0, out=spec)  # d(psi)/dx1, as spectral_derivative_axis
+    ik = (1j * kx)[:, None]
+
+    def derivative_x1(cols, _):
+        """d(psi)/dx1 on the columns, in place of their spectrum, as
+        spectral_derivative_axis forms it."""
+        part = spec[:, cols]
+        part *= ik
+        np.fft.ifft(part, axis=0, out=part)
+
+    list(block_map(derivative_x1, col_ranges, workers))
+    d1 = spec  # now d(psi)/dx1
 
     sums = np.zeros(10)         # classical then nonclassical, as in _row_sums
     values_1, values_2 = [], []

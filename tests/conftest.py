@@ -22,3 +22,21 @@ def rng():
 @pytest.fixture
 def grid():
     return GridSpec(1024, -20.0, 20.0)
+
+
+@pytest.fixture
+def block_pool(monkeypatch):
+    """No block pool made yet; calling the fixture's value sends the block
+    passes to two threads on any grid and any host.  A pool the test makes
+    is shut down after it."""
+    from exact_uncertainty import grids
+
+    monkeypatch.setattr(grids, "_pool", None)
+
+    def force():
+        monkeypatch.setattr(grids, "POOL_BYTES", 0)
+        monkeypatch.setattr(grids.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    yield force
+    if grids._pool is not None:
+        grids._pool.shutdown()

@@ -159,6 +159,10 @@ def test_energy_bound_models(tmp_path):
                     tmp_path / "c.json")
     assert doc["bound"] == pytest.approx(-2.0, rel=1e-9)
 
+    # q enters squared: a negative charge binds as a positive one does
+    code, doc = run(["energy-bound", "--model", "coulomb", "--charge", "-1"], tmp_path / "q.json")
+    assert code == 0 and doc["bound"] == pytest.approx(-0.5, rel=1e-9)
+
     code, doc = run(["energy-bound", "--model", "harmonic"], tmp_path / "h.json")
     assert doc["entropic_bound"] == pytest.approx(0.5, rel=1e-6)
 
@@ -478,7 +482,16 @@ def test_global_flag_on_either_side_of_the_subcommand(tmp_path, name, before):
     (["--seed", "-1", "verify", "--suite", "gaussian-random", "--n", "1"], "--seed", "-1"),
     (["diffusion", "--steps", "0"], "--steps", "0"),
     (["energy-bound", "--model", "bouncer", "--gravity", "-1"], "--gravity", "-1"),
-], ids=["hbar-nan", "tol-grid-negative", "seed-negative", "steps-zero", "gravity-negative"])
+    (["verify", "--suite", "gaussian-random", "--n", "0"], "--n", "0"),
+    (["verify", "--suite", "gaussian-random", "--n", "-1"], "--n", "-1"),
+    (["energy-bound", "--model", "coulomb", "--nuclear-charge", "-1"], "--nuclear-charge", "-1"),
+    (["energy-bound", "--model", "coulomb", "--nuclear-charge", "0"], "--nuclear-charge", "0"),
+    (["energy-bound", "--model", "coulomb", "--nuclear-charge", "inf"], "--nuclear-charge", "inf"),
+    (["energy-bound", "--model", "coulomb", "--charge", "0"], "--charge", "0"),
+    (["energy-bound", "--model", "coulomb", "--charge", "nan"], "--charge", "nan"),
+], ids=["hbar-nan", "tol-grid-negative", "seed-negative", "steps-zero", "gravity-negative",
+        "n-zero", "n-negative", "nuclear-charge-negative", "nuclear-charge-zero",
+        "nuclear-charge-inf", "charge-zero", "charge-nan"])
 def test_bad_flag_value_is_named(capsys, args, flag, value):
     # exit 2 with a parse document that names the flag and its value
     assert main(args) == 2

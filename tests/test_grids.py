@@ -107,3 +107,45 @@ def test_row_blocks_rule(monkeypatch):
     # a smaller byte budget still wins under the cap
     monkeypatch.setattr(grids, "BLOCK_BYTES", 64 << 10)
     assert {rows.stop - rows.start for rows in grids.row_blocks(1536, 1536)} == {2}
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_density_derivative_columns_is_the_whole_matrix_transform(kind, pooled, block_pool,
+                                                                  monkeypatch):
+    from exact_uncertainty import grids
+
+    rng = np.random.default_rng(4)
+    gx = GridSpec(200, -6.0, 6.0)
+    values = rng.normal(size=(200, 300)) + (1j * rng.normal(size=(200, 300))
+                                            if kind == "complex" else 0.0)
+    # 300 columns in blocks of 21, the last one narrower
+    monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 200 * 21)
+    if pooled:
+        block_pool()
+    p = np.abs(values) ** 2 if kind == "complex" else values
+    got, peak = grids.density_derivative_columns(values, gx)
+    assert (grids._pool is not None) == pooled
+    assert np.array_equal(got, real_derivative_axis(p, gx, axis=0))
+    assert peak == p.max()
+
+
+def test_block_map_lends_each_buffer_set_to_one_block(block_pool):
+    import sys
+
+    from exact_uncertainty import grids
+
+    def claim(block, buffers):
+        # a buffer set shared by two running blocks loses one of their marks
+        buffers[0][0] = block
+        np.fft.fft(buffers[1])  # releases the GIL
+        return int(buffers[0][0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(grids.block_map(claim, range(400), 2,
+                                   lambda: (np.zeros(1), np.zeros(4096, complex))))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(400))

@@ -590,6 +590,55 @@ class TestStreamedDecomposition:
             collapse_momentum(small_epr, 60.0, parts.momentum_marginal)
 
 
+class TestBlockPool:
+    """Above grids.POOL_BYTES the FFT-bound passes run on two threads and
+    add their blocks' sums in block order, so nothing moves by a bit."""
+
+    @pytest.mark.parametrize("case", ["epr-1536", "gaussian-384"])
+    def test_pooled_decomposition_is_the_serial_one(self, case, request, block_pool):
+        from dataclasses import fields
+
+        from exact_uncertainty import grids
+        from exact_uncertainty.densities import PlaneDensity
+        from exact_uncertainty.fisher import fisher_covariance
+        from exact_uncertainty.random_states import random_gaussian_2d
+
+        if case == "epr-1536":
+            st = request.getfixturevalue("small_epr")
+        else:
+            st = random_gaussian_2d(np.random.default_rng(3), n_points=384)
+        plane = PlaneDensity(st.grid_x, st.grid_y, st.position_density())
+        serial, serial_fisher = nonclassical_components_2d(st), fisher_covariance(plane)
+        assert grids._pool is None
+        block_pool()
+        pooled, pooled_fisher = nonclassical_components_2d(st), fisher_covariance(plane)
+        assert grids._pool is not None
+        for field in fields(serial):
+            assert np.array_equal(getattr(pooled, field.name), getattr(serial, field.name)), \
+                field.name
+        assert np.array_equal(pooled_fisher, serial_fisher)
+
+    def test_grid_below_the_rule_starts_no_thread(self, small_epr, block_pool):
+        import threading
+
+        from exact_uncertainty import grids
+        from exact_uncertainty.random_states import random_gaussian_2d
+
+        threads = threading.active_count()
+        assert small_epr.amplitudes.nbytes <= grids.POOL_BYTES
+        nonclassical_components_2d(small_epr)
+        nonclassical_components_2d(random_gaussian_2d(np.random.default_rng(3), n_points=384))
+        assert grids._pool is None
+        assert threading.active_count() == threads
+
+    def test_peak_memory_on_the_pool(self, small_epr, block_pool):
+        from exact_uncertainty import grids
+
+        block_pool()
+        TestStreamedDecomposition().test_peak_memory(small_epr)
+        assert grids._pool is not None
+
+
 def full_grid_epr(params, gx, gy):
     """build_epr's exponent evaluated on the whole lattice, normalized by
     division with the norm summed over the same row blocks."""
