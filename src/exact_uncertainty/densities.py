@@ -13,10 +13,11 @@ MASK_FLOOR = 1e-12  # labels with p below this fraction of max(p) are masked
 MASKED_MASS_LIMIT = 0.2  # more probability mass than this on masked labels is an error
 
 
-def floor_mask(values: np.ndarray, peak: float | None = None) -> np.ndarray:
+def floor_mask(values: np.ndarray, peak: float | None = None, out=None) -> np.ndarray:
     """True where a density is retained: above MASK_FLOOR of its maximum,
-    which ``peak`` gives when ``values`` is one block of the density."""
-    return values > MASK_FLOOR * (values.max() if peak is None else peak)
+    which ``peak`` gives when ``values`` is one block of the density; into
+    ``out`` when given."""
+    return np.greater(values, MASK_FLOOR * (values.max() if peak is None else peak), out=out)
 
 
 def masked_ratio(numerator: np.ndarray, density: np.ndarray, measure: float,

@@ -216,18 +216,22 @@ def fisher_covariance(density) -> np.ndarray:
 
 
 def plane_information_rows(p: np.ndarray, grad_x: np.ndarray, mask: np.ndarray,
-                           grid_y: GridSpec) -> np.ndarray:
+                           grid_y: GridSpec, out=None, spec=None) -> np.ndarray:
     """Sums of (dp/dx)^2 / p, (dp/dx)(dp/dy) / p and (dp/dy)^2 / p over the
     retained points of a block of whole rows of a plane density.
 
     ``grad_x`` is the block's share of the spectral derivative along the
     rows, which needs whole columns (``density_derivative_columns``); the
-    derivative along y is taken here.
+    derivative along y is taken here, into ``out`` through the half
+    spectrum ``spec`` when they are given (``real_derivative_axis``).  The
+    products are summed pairwise (``np.sum``), not by a BLAS dot product,
+    which OpenBLAS would split over its threads above 10,000 points.
     """
-    grad_y = real_derivative_axis(p, grid_y, axis=1)[mask]
+    grad_y = real_derivative_axis(p, grid_y, axis=1, out=out, spec=spec)[mask]
     grad_x, p = grad_x[mask], p[mask]
     over_p = grad_x / p
-    return np.array([over_p @ grad_x, over_p @ grad_y, (grad_y / p) @ grad_y])
+    return np.array([np.sum(over_p * grad_x), np.sum(over_p * grad_y),
+                     np.sum(grad_y / p * grad_y)])
 
 
 def inverse_information(entries: np.ndarray) -> np.ndarray:

@@ -112,11 +112,16 @@ BLOCK_BYTES = 8 << 20
 # row cap of a default block: the temporaries of a 96 x 384 block, about
 # five times its 576 KiB of samples, fit a 4 MiB L2 (a whole 384^2 grid's do not)
 BLOCK_ROWS = 96
-# arrays above this size run their FFT-bound block passes on two threads
-# (block_workers).  The EPR decomposition on 2 cores, pooled against serial:
-# 384^2 (2.25 MiB, the multidim report) 20% slower, 1536^2 (36 MiB) -8%
-# within the noise, 2048^2 (64 MiB) -13%, 3584^2 and 5120^2 (400 MiB) -20%
-POOL_BYTES = 48 << 20
+# arrays above this size run their block passes on two threads
+# (block_workers).  The 2D decomposition on 2 cores, pooled against serial
+# (medians of 21 to 31 alternating calls; a random Gaussian, an EPR state):
+# 384^2 (2.25 MiB, the multidim report) +6% and +10%, 416^2 (2.6 MiB) +1%,
+# 448^2 (3.1 MiB) -35% and -19%, 512^2 (4 MiB) -19% and -28%, 576^2 -41%,
+# 1536^2 (36 MiB) -41%, 2048^2 -42%, 5120^2 (400 MiB, 5 calls) -48%.
+# Pooling costs peak RSS the temporaries of pass 4 that the worker's malloc
+# arena keeps: epr-demo at 1536^2 peaks 4.5-6 MiB higher (118-119 against
+# 113-114 MiB; 114.6 MiB with only pass 4 kept serial); at 5120^2 it does not
+POOL_BYTES = 3 << 20
 
 
 def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
@@ -132,7 +137,7 @@ def row_blocks(n_rows: int, n_cols: int, budget: int | None = None):
 
 
 def block_workers(nbytes: int) -> int:
-    """Threads for the FFT-bound block passes over an array of ``nbytes``:
+    """Threads for the block passes over an array of ``nbytes``:
     2 above POOL_BYTES when the process may run on two CPUs, else 1."""
     if nbytes <= POOL_BYTES:
         return 1
@@ -177,6 +182,21 @@ def block_map(fn, blocks, workers: int, scratch=tuple):
         if _pool is None:
             _pool = ThreadPoolExecutor(2, thread_name_prefix="block")
     return _pool.map(run, blocks)
+
+
+def real_inner(a: np.ndarray, b: np.ndarray):
+    """Re <a|b>, the sum of Re(conj(a) b), for blocks of rows (real or
+    complex) whose rows are contiguous: each row of their float views (real
+    and imaginary parts interleaved) is reduced by ``einsum``, then the row
+    sums are added pairwise.  Each row is one running sum, so a single long
+    row loses digits that a block of short rows keeps.
+
+    No BLAS: OpenBLAS hands a dot product of more than 10,000 points to a
+    second thread, which spins on the other core, where it competes with
+    ``block_map``'s other block, and the sum then depends on the BLAS
+    thread count.
+    """
+    return np.einsum("...i,...i->...", a.view(float), b.view(float)).sum()
 
 
 def density_derivative_columns(values: np.ndarray, grid: GridSpec):

@@ -36,11 +36,13 @@ def _norm_squared(state, a: np.ndarray | None = None) -> float:
 
 
 def _set_amplitudes(state, shape: tuple) -> None:
-    """Store a pure state's amplitudes as complex, of ``shape``, normalized."""
+    """Store a pure state's amplitudes as complex, of ``shape``, normalized,
+    in C order (the 2D row sums read each row as one contiguous run)."""
     amps = np.asarray(state.amplitudes, dtype=complex)
     if amps.shape != shape:
         raise ValueError(f"{amps.shape} amplitudes do not match the space {shape}")
-    object.__setattr__(state, "amplitudes", _normalized(amps, lambda a: _norm_squared(state, a)))
+    amps = _normalized(amps, lambda a: _norm_squared(state, a))
+    object.__setattr__(state, "amplitudes", np.ascontiguousarray(amps))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import grids
 from .decomposition import ClassicalComponent, classical_estimate
 from .densities import MASKED_MASS_LIMIT, floor_mask
 from .errors import GridResolution, VanishingDensity, ZeroNorm
@@ -23,6 +24,7 @@ from .grids import (
     block_map,
     block_workers,
     density_derivative_columns,
+    real_inner,
     row_blocks,
     spectral_derivative_axis,
 )
@@ -118,32 +120,40 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     1. dp/dx1, transformed along x1 from blocks of whole columns of
        p = |psi|^2 (``density_derivative_columns``), and max p over the same
        column blocks;
-    2. per block of rows: the mask, the masked and total mass, the position
-       moments from the row and column sums (``_separable_sums``) and the
-       Fisher information sums; dp/dx1 is then freed, before ``spec``
-       exists;
+    2. per block of rows: the mask, the total and retained mass, the
+       position moments from the row and column sums (``_separable_sums``)
+       and the Fisher information sums; dp/dx1 is then freed, before
+       ``spec`` exists;
     3. psi transformed along x1 into ``spec``; its row blocks transformed
        along x2 give the k-space density |psi~|^2, whose row and column sums
        give Cov(P) and <P>, and whose column sums are the particle-2
        momentum marginal; then ``spec`` times i k1, transformed back in
        place, is d(psi)/dx1;
-    4. per block of rows, with one halo row on each side: d(psi)/dx2 and
+    4. per block of rows of half the byte budget (``BLOCK_BYTES // 2``),
+       with one halo row on each side: d(psi)/dx2 and
        chi_k = (P_k - P_cl^(k)) psi with their sums; the classical
        components, their sums and the mixed-partials residual only on the
-       block's window of retained columns (``_row_sums``).
+       block's window of retained columns (``_row_sums``).  Each block
+       writes its classical values at its offset in two arrays sized from
+       the mask.
 
-    On a psi above ``grids.POOL_BYTES`` (the 5120^2 grid, not the 384^2
-    multidim case) the FFT-bound passes 1 and 3 run on two threads
-    (``grids.block_map``): their column and row blocks, and the axis-0
+    On a psi above ``grids.POOL_BYTES`` (the 1536^2 and 5120^2 grids, not
+    the 384^2 multidim case) every pass runs on two threads
+    (``grids.block_map``): the column and row blocks, and the axis-0
     transforms of pass 3 in two column halves.  Each block returns its
-    partial sums, which are added in block order, so every result is bit
-    for bit the serial one.  The blocks write into buffers the caller
-    makes, one set per thread (``np.abs``, ``rfft``, ``fft`` and ``irfft``
+    partial sums, which are added in block order, and a pass's blocks are
+    the same on one thread and on two, so every result is bit for bit the
+    serial one.  The blocks write into buffers the caller makes, one set
+    per thread (``np.abs``, ``rfft``, ``fft``, ``irfft`` and ``multiply``
     with ``out=``): temporaries freed on a worker thread stay in its malloc
-    arena, and the peak RSS would grow.  Passes 2 and 4 stay serial: their
-    BLAS dot products (``plane_information_rows``' ``@``, ``_row_sums``'
-    ``np.vdot``) wake OpenBLAS's second thread, which then competes with
-    the other block for the second core.
+    arena, and the peak RSS would grow.  No sum over a block calls BLAS:
+    the inner products of psi and chi_k are ``grids.real_inner``'s row sums
+    and the information entries are pairwise ``np.sum``s.  OpenBLAS would
+    wake its second thread for a dot product of more than 10,000 points,
+    which then competes with the other block for the second core, and the
+    sums would depend on the BLAS thread count.  ``_separable_sums`` still
+    takes ``@`` products of one row or column of sums, of n points per
+    axis: on more than 10,000 points per axis they are split too.
 
     Two quantities keep paths of their own on purpose.  Cov(P) comes from
     |psi~|^2, not from <d psi|d psi>: with the same d(psi) the additivity
@@ -162,20 +172,33 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     workers = block_workers(psi.nbytes)
 
     grad_x, peak = density_derivative_columns(psi, gx)
+    blocks = list(row_blocks(n1, n2))
+    height = blocks[0].stop
     mask = np.empty(psi.shape, dtype=bool)
+
+    def position_rows(rows, buffers):
+        """The block's mask and its position, mass and information sums."""
+        p_b, grad_y, half = (buffer[:rows.stop - rows.start] for buffer in buffers)
+        np.abs(psi[rows], out=p_b)
+        p_b *= p_b
+        m_b = floor_mask(p_b, peak, out=mask[rows])
+        block, cols = _separable_sums(p_b, x1[rows], x2)
+        return (block, cols.sum(), p_b[m_b].sum(),
+                plane_information_rows(p_b, grad_x[rows], m_b, gy, grad_y, half))
+
     position = np.zeros(5)      # p-weighted sums of x1, x2, x1^2, x1 x2, x2^2
     information = np.zeros(3)
-    total = masked = 0.0
-    for rows in row_blocks(n1, n2):
-        p_b = np.abs(psi[rows]) ** 2
-        m_b = mask[rows] = floor_mask(p_b, peak)
-        block, cols = _separable_sums(p_b, x1[rows], x2)
+    total = retained_mass = 0.0
+    for block, mass, retained_b, info in block_map(
+            position_rows, blocks, workers,
+            lambda: (np.empty((height, n2)), np.empty((height, n2)),
+                     np.empty((height, n2 // 2 + 1), complex))):
         position += block
-        total += cols.sum()
-        masked += p_b[~m_b].sum()
-        information += plane_information_rows(p_b, grad_x[rows], m_b, gy)
+        total += mass
+        retained_mass += retained_b
+        information += info
     del grad_x
-    if masked * w > MASKED_MASS_LIMIT:
+    if (total - retained_mass) * w > MASKED_MASS_LIMIT:
         raise VanishingDensity("2D density vanishes on > 20% of mass")
 
     # the axis-0 transforms run on one range of columns per worker
@@ -186,8 +209,6 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
                    col_ranges, workers))
     kx = gx.wavenumbers()
     k1, k2 = hbar * kx, hbar * gy.wavenumbers()
-    blocks = list(row_blocks(n1, n2))
-    height = blocks[0].stop
 
     def spectrum_rows(rows, buffers):
         """The block's |psi~|^2 sums: its rows of spec transformed along x2."""
@@ -218,18 +239,34 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     list(block_map(derivative_x1, col_ranges, workers))
     d1 = spec  # now d(psi)/dx1
 
-    sums = np.zeros(10)         # classical then nonclassical, as in _row_sums
-    values_1, values_2 = [], []
-    mixed = 0.0
+    # half-size blocks: two buffer sets cost what one set of full blocks
+    # would, and the blocks are the same on one thread and on two
+    blocks = list(row_blocks(n1, n2, grids.BLOCK_BYTES // 2))
+    height = blocks[0].stop
+    # each block's retained classical values land at its offset in two
+    # arrays sized from the mask
+    ends = np.cumsum([np.count_nonzero(mask[rows]) for rows in blocks])
+    values_1, values_2 = np.empty(ends[-1]), np.empty(ends[-1])
     floor = 1e-6 * peak
-    for rows in row_blocks(n1, n2):
+
+    def nonclassical_rows(block, buffers):
+        """The block's sums and mixed-partials residual; its classical values
+        written at its offset."""
+        rows, end = block
         lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, n1)
-        block, v1, v2, block_mixed = _row_sums(
+        sums, v1, v2, mixed = _row_sums(
             psi[lo:hi], d1[lo:hi], mask[lo:hi], slice(rows.start - lo, rows.stop - lo),
-            (lo == 0, hi == n1), floor, state)
+            (lo == 0, hi == n1), floor, state, buffers)
+        values_1[end - v1.size:end] = v1
+        values_2[end - v2.size:end] = v2
+        return sums, mixed
+
+    sums = np.zeros(10)         # classical then nonclassical, as in _row_sums
+    mixed = 0.0
+    for block, block_mixed in block_map(
+            nonclassical_rows, zip(blocks, ends), workers,
+            lambda: (np.empty((height + 2, n2), complex), np.empty((height, n2), complex))):
         sums += block
-        values_1.append(v1)
-        values_2.append(v2)
         mixed = max(mixed, block_mixed)
     del spec, d1
 
@@ -243,13 +280,13 @@ def nonclassical_components_2d(state: Grid2DPureState) -> TwoParticleDecompositi
     # Fisher information of the normalized density p / total
     total *= w
     information *= w / total
-    return TwoParticleDecomposition(np.concatenate(values_1), np.concatenate(values_2), mask,
+    return TwoParticleDecomposition(values_1, values_2, mask,
                                     cov_x, cov_p, cov_cl, cov_nc, additivity, mixed, mean_nc,
                                     information, position[:2] * w, momentum[:2],
                                     _partner_momentum_density(marginal / n1, state), float(peak))
 
 
-def _row_sums(psi, d1, retained, inner, edges, floor, state):
+def _row_sums(psi, d1, retained, inner, edges, floor, state, buffers):
     """The classical and nonclassical sums of the ``inner`` rows of a block,
     their retained classical values, and the block's mixed-partials residual.
 
@@ -257,9 +294,11 @@ def _row_sums(psi, d1, retained, inner, edges, floor, state):
     one halo row on each side that the lattice has (``edges`` tells where it
     has none): the residual's x1 stencil reads them.  The classical work
     runs on the block's retained columns plus one halo column on each side.
+    d(psi)/dx2 and chi_1 go to the two complex ``buffers``, of at least the
+    block's and the inner rows' shapes.
     """
     hbar = state.constants.hbar
-    d2 = spectral_derivative_axis(psi, state.grid_y, axis=1)
+    d2 = spectral_derivative_axis(psi, state.grid_y, axis=1, out=buffers[0][:len(psi)])
     cols = np.flatnonzero(retained.any(axis=0))
     win = slice(max(cols[0] - 1, 0), cols[-1] + 2) if cols.size else slice(0, 0)
     psi_w, retained_w = psi[:, win], retained[:, win]
@@ -273,13 +312,13 @@ def _row_sums(psi, d1, retained, inner, edges, floor, state):
     psi = psi[inner]
     # residual fields chi_k = (P_k - v_k) psi give Cov(P_nc) directly; off
     # the mask v_k psi is a signed zero, so only the retained points change
-    chi1 = -1j * hbar * d1[inner]
+    chi1 = np.multiply(-1j * hbar, d1[inner], out=buffers[1][:len(psi)])
     chi2 = d2[inner]
     chi2 *= -1j * hbar
     chi1[:, win][at] -= v1 * psi_at
     chi2[:, win][at] -= v2 * psi_at
-    nonclassical = np.real([np.vdot(psi, chi1), np.vdot(psi, chi2), np.vdot(chi1, chi1),
-                            np.vdot(chi1, chi2), np.vdot(chi2, chi2)])
+    nonclassical = [real_inner(psi, chi1), real_inner(psi, chi2), real_inner(chi1, chi1),
+                    real_inner(chi1, chi2), real_inner(chi2, chi2)]
     sums = np.concatenate([_moment_sums(p, v1, v2), nonclassical])
     return sums, v1, v2, mixed
 
@@ -412,9 +451,10 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
     Each block of rows is evaluated only on its band of columns within
     |x1 - x2 - a| <= 2 sigma sqrt(760): beyond it the exponent is below -760,
     and exp underflows to exactly 0 below -745.14, so psi stays at 0 there.
-    The norm is summed over whole rows and applied in place as a reciprocal
-    multiply (numpy's complex / real): psi equals the full-grid formula's value
-    by value (signs of zeros aside), and Grid2DPureState keeps it as unit norm.
+    The norm is summed over whole rows (``real_inner``, so not on OpenBLAS's
+    threads) and applied in place as a reciprocal multiply (numpy's complex /
+    real): psi equals the full-grid formula's value by value (signs of zeros
+    aside), and Grid2DPureState keeps it as unit norm.
     """
     constants = constants or Constants()
     span_sum = grid_x.length + grid_y.length
@@ -448,7 +488,7 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
         block = psi[rows, band]
         np.multiply(phase1[rows, None], phase2[band], out=block)
         block *= np.exp(expo, out=expo)
-        norm_sq += np.vdot(psi[rows], psi[rows]).real
+        norm_sq += real_inner(psi[rows], psi[rows])
     norm_sq *= grid_x.dx * grid_y.dx
     if norm_sq < ZERO_NORM:
         raise ZeroNorm("state norm is numerically zero")

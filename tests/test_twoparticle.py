@@ -40,6 +40,32 @@ def product_state(n=192, span=10.0, k1=0.0, chirp1=0.0):
     return Grid2DPureState(g, g, np.outer(f1, f2))
 
 
+WINDOW_CASES = ["edge_to_edge", "cut", "cut_mirrored", "banded"]
+
+
+def window_state(case):
+    """A 96^2 state of the column-window tests (the banded case is
+    ``small_epr``).
+
+    edge_to_edge: the core reaches the lattice's first and last columns, so
+    every window is the full width and the edge columns bound it; cut: the
+    core spans columns 20-79 with no retained point beside it, so halo
+    columns bound every window, and the residual peaks at column 78, whose
+    stencil reads column 79 (at column 17 next to column 16 when mirrored).
+    """
+    g = GridSpec(96, -5.0, 5.0) if case == "edge_to_edge" else GridSpec(96, -8.0, 8.0)
+    x1, x2 = g.points()[:, None], g.points()[None, :]
+    chirp = 1j * (0.3 * x1 * x2 + 0.2 * x2 ** 2)
+    if case == "edge_to_edge":
+        psi = np.exp(-x1 ** 2 / 16.0 - x2 ** 2 / 25.0 + chirp)
+    else:
+        psi = np.exp(-x1 ** 2 / 4.0 - x2 ** 2 / 64.0 + chirp)
+        psi[:, :20] = psi[:, 80:] = 0.0
+        if case == "cut_mirrored":
+            psi = psi[:, ::-1]
+    return Grid2DPureState(g, g, psi)
+
+
 class TestBuild:
     def test_displayed_moments(self, small_epr):
         m = epr_moments(small_epr)
@@ -186,6 +212,21 @@ class TestDecomposition2D:
     def test_mixed_partials_vanish(self, small_epr):
         parts = nonclassical_components_2d(small_epr)
         assert parts.mixed_partials_residual < 1e-6
+
+    def test_transposed_state_permutes_the_covariances(self):
+        # a unit-norm array is kept as given, here a strided view
+        st = window_state("edge_to_edge")
+        swapped = Grid2DPureState(st.grid_y, st.grid_x, st.amplitudes.T)
+        assert swapped.amplitudes.flags.c_contiguous
+        parts, swapped_parts = nonclassical_components_2d(st), nonclassical_components_2d(swapped)
+        for name in ("cov_position", "cov_momentum", "cov_classical", "cov_nonclassical"):
+            matrix = getattr(parts, name)
+            np.testing.assert_allclose(getattr(swapped_parts, name), matrix[::-1, ::-1],
+                                       rtol=0.0, atol=1e-12 * np.max(np.abs(matrix)), err_msg=name)
+        info = parts.information_position
+        np.testing.assert_allclose(swapped_parts.information_position, info[::-1],
+                                   rtol=0.0, atol=1e-12 * np.max(np.abs(info)))
+        assert np.array_equal(swapped_parts.retained, parts.retained.T)
 
 
 class TestCorrelationRelation:
@@ -360,13 +401,15 @@ class TestOneDecompositionPerReport:
         from exact_uncertainty import cli
 
         n = epr_grids(SMALL)[0].n_points
-        whole_axis0, fft2_calls = [], []
+        widths, fft2_calls = [], []
         fft, fft2 = np.fft.fft, np.fft.fft2
 
+        # an axis-0 transform of all n rows, of the whole psi (one thread)
+        # or of one range of its columns per block thread (the pool)
         def counted_fft(a, *args, **kwargs):
             axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
-            if np.shape(a) == (n, n) and axis % 2 == 0:
-                whole_axis0.append(np.asarray(a).dtype)
+            if np.ndim(a) == 2 and np.shape(a)[0] == n and axis % 2 == 0:
+                widths.append((np.shape(a)[1], np.asarray(a).dtype))
             return fft(a, *args, **kwargs)
 
         def counted_fft2(*args, **kwargs):
@@ -379,7 +422,8 @@ class TestOneDecompositionPerReport:
                                   collapse_x=0.0, collapse_p=0.5, epr_grid_n=None)
         cli.cmd_epr_demo(cli.RunConfig(), args)
         assert fft2_calls == []
-        assert whole_axis0 == [np.complex128]
+        assert sum(width for width, _ in widths) == n
+        assert {dtype for _, dtype in widths} == {np.dtype(complex)}
 
     def test_blocked_reductions_match_unblocked_formulas(self, small_epr, small_epr_reference):
         from exact_uncertainty.densities import PlaneDensity
@@ -497,7 +541,7 @@ class TestStreamedDecomposition:
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(cols, weights.sum(axis=0), rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("case", ["edge_to_edge", "cut", "cut_mirrored", "banded"])
+    @pytest.mark.parametrize("case", WINDOW_CASES)
     def test_column_windows_match_unblocked_reference(self, case, request, monkeypatch):
         from exact_uncertainty import grids
 
@@ -505,23 +549,7 @@ class TestStreamedDecomposition:
             st = request.getfixturevalue("small_epr")
             ref = request.getfixturevalue("small_epr_reference")
         else:
-            # edge_to_edge: the core reaches the lattice's first and last
-            # columns, so every window is the full width and the edge columns
-            # bound it; cut: the core spans columns 20-79 with no retained
-            # point beside it, so halo columns bound every window, and the
-            # residual peaks at column 78, whose stencil reads column 79
-            # (at column 17 next to column 16 when mirrored)
-            g = GridSpec(96, -5.0, 5.0) if case == "edge_to_edge" else GridSpec(96, -8.0, 8.0)
-            x1, x2 = g.points()[:, None], g.points()[None, :]
-            chirp = 1j * (0.3 * x1 * x2 + 0.2 * x2 ** 2)
-            if case == "edge_to_edge":
-                psi = np.exp(-x1 ** 2 / 16.0 - x2 ** 2 / 25.0 + chirp)
-            else:
-                psi = np.exp(-x1 ** 2 / 4.0 - x2 ** 2 / 64.0 + chirp)
-                psi[:, :20] = psi[:, 80:] = 0.0
-                if case == "cut_mirrored":
-                    psi = psi[:, ::-1]
-            st = Grid2DPureState(g, g, psi)
+            st = window_state(case)
             ref = unblocked_reference(st)
             monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 16 * 96)
         blocks = list(grids.row_blocks(*st.amplitudes.shape))
@@ -551,6 +579,73 @@ class TestStreamedDecomposition:
         scale = np.max(np.abs(ref["cov_nonclassical"])) if case.startswith("cut") else 0.0
         np.testing.assert_allclose(parts.cov_nonclassical, ref["cov_nonclassical"],
                                    rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("case", WINDOW_CASES)
+    def test_reductions_match_extended_precision(self, case, request, monkeypatch):
+        """Cov(P_nc), <P_nc> and the information entries against long-double
+        sums of the same float64 fields.  An error is measured in units of
+        eps times the sum of the absolute terms, the scale a rounded sum's
+        error has however its entries cancel.  BLAS dot products over whole
+        blocks, on one or two OpenBLAS threads, had worst errors over these
+        four states of 4.3 (Cov(P_nc)), 0.12 (<P_nc>) and 2.3
+        (information); the bound is twice those.  One einsum over each whole
+        block reached 0.36 on <P_nc>, and over each block's retained points
+        5.6 on the information."""
+        from exact_uncertainty import grids
+        from exact_uncertainty.grids import real_derivative_axis, spectral_derivative_axis
+
+        if case == "banded":
+            st = request.getfixturevalue("small_epr")
+        else:
+            st = window_state(case)
+            monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 16 * 96)
+        parts = nonclassical_components_2d(st)
+        bound = {"cov_nonclassical": 8.6, "mean_nonclassical": 0.24, "information": 4.6}
+        eps, wide = np.finfo(float).eps, np.longdouble
+        hbar, psi, w = st.constants.hbar, st.amplitudes, wide(st.measure)
+
+        def exact(terms):
+            """The sum of the terms and of their magnitudes, in long double,
+            over blocks of rows."""
+            pairs = [(np.sum(t), np.sum(np.abs(t))) for t in map(terms, range(0, len(psi), 128))]
+            return sum(t for t, _ in pairs), sum(a for _, a in pairs)
+
+        def inner(f, g):
+            return exact(lambda i: f[i:i + 128].view(float).astype(wide)
+                         * g[i:i + 128].view(float).astype(wide))
+
+        chi = [-1j * hbar * spectral_derivative_axis(psi, st.grid_x, axis=0)
+               - parts.classical_field_1 * psi,
+               -1j * hbar * spectral_derivative_axis(psi, st.grid_y, axis=1)
+               - parts.classical_field_2 * psi]
+        means = [inner(psi, c) for c in chi]
+        errors = {"mean_nonclassical": [abs(got - m * w) / (a * w) for got, (m, a)
+                                        in zip(parts.mean_nonclassical, means)],
+                  "cov_nonclassical": []}
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            second, magnitude = inner(chi[i], chi[j])
+            product = means[i][0] * means[j][0] * w * w
+            errors["cov_nonclassical"].append(abs(parts.cov_nonclassical[i, j]
+                                                  - (second * w - product))
+                                              / (magnitude * w + abs(product)))
+
+        p = np.abs(psi) ** 2
+        grads = [real_derivative_axis(p, st.grid_x, axis=0),
+                 real_derivative_axis(p, st.grid_y, axis=1)]
+        total, _ = exact(lambda i: p[i:i + 128].astype(wide))
+        errors["information"] = []
+        for n, (a, b) in enumerate(((0, 0), (0, 1), (1, 1))):
+            def terms(i):
+                m = parts.retained[i:i + 128]
+                return (grads[a][i:i + 128][m].astype(wide) * grads[b][i:i + 128][m]
+                        / p[i:i + 128][m])
+            value, magnitude = exact(terms)
+            errors["information"].append(abs(parts.information_position[n] - value / total)
+                                         / (magnitude / total))
+        for name, errs in errors.items():
+            assert max(errs) / eps <= bound[name], (name, [float(e / eps) for e in errs])
 
     def test_peak_memory(self, small_epr):
         import tracemalloc
@@ -591,11 +686,12 @@ class TestStreamedDecomposition:
 
 
 class TestBlockPool:
-    """Above grids.POOL_BYTES the FFT-bound passes run on two threads and
-    add their blocks' sums in block order, so nothing moves by a bit."""
+    """Above grids.POOL_BYTES every pass runs on two threads and adds its
+    blocks' sums in block order, so nothing moves by a bit."""
 
     @pytest.mark.parametrize("case", ["epr-1536", "gaussian-384"])
-    def test_pooled_decomposition_is_the_serial_one(self, case, request, block_pool):
+    def test_pooled_decomposition_is_the_serial_one(self, case, request, block_pool,
+                                                    monkeypatch):
         from dataclasses import fields
 
         from exact_uncertainty import grids
@@ -608,6 +704,8 @@ class TestBlockPool:
         else:
             st = random_gaussian_2d(np.random.default_rng(3), n_points=384)
         plane = PlaneDensity(st.grid_x, st.grid_y, st.position_density())
+        # a process bound to one CPU stays on one thread at any size
+        monkeypatch.setattr(grids.os, "sched_getaffinity", lambda pid: {0})
         serial, serial_fisher = nonclassical_components_2d(st), fisher_covariance(plane)
         assert grids._pool is None
         block_pool()
@@ -618,16 +716,20 @@ class TestBlockPool:
                 field.name
         assert np.array_equal(pooled_fisher, serial_fisher)
 
-    def test_grid_below_the_rule_starts_no_thread(self, small_epr, block_pool):
+    def test_grid_below_the_rule_starts_no_thread(self, block_pool):
         import threading
 
         from exact_uncertainty import grids
         from exact_uncertainty.random_states import random_gaussian_2d
 
+        # the 384^2 multidim case, and an EPR state of 416^2 points (2.6 MiB)
+        params = EprParams(a=1.0, sigma=0.2, tau=2.0, p0=2.0)
+        states = [random_gaussian_2d(np.random.default_rng(3), n_points=384),
+                  build_epr(params, *epr_grids(params, n_points=416))]
         threads = threading.active_count()
-        assert small_epr.amplitudes.nbytes <= grids.POOL_BYTES
-        nonclassical_components_2d(small_epr)
-        nonclassical_components_2d(random_gaussian_2d(np.random.default_rng(3), n_points=384))
+        for st in states:
+            assert st.amplitudes.nbytes <= grids.POOL_BYTES
+            nonclassical_components_2d(st)
         assert grids._pool is None
         assert threading.active_count() == threads
 
@@ -639,17 +741,74 @@ class TestBlockPool:
         assert grids._pool is not None
 
 
+class TestBlasThreads:
+    """Up to 10,000 points per axis the EPR report makes no BLAS reduction
+    that OpenBLAS would split over its threads, so its bytes do not depend
+    on their number.  (The 384^2
+    multidim report is not compared: its random state's own build differs
+    by the BLAS thread count.)"""
+
+    # the pooled decomposition of small_epr, forced onto two threads
+    POOLED = """
+import hashlib
+from dataclasses import fields
+
+import numpy as np
+
+from exact_uncertainty import grids
+from exact_uncertainty.twoparticle import (EprParams, build_epr, epr_grids,
+                                           nonclassical_components_2d)
+
+grids.POOL_BYTES = 0
+grids.os.sched_getaffinity = lambda pid: {0, 1}
+params = EprParams(a=1.0, sigma=0.2, tau=5.0, p0=2.0)
+parts = nonclassical_components_2d(build_epr(params, *epr_grids(params)))
+digest = hashlib.sha256()
+for field in fields(parts):
+    digest.update(np.ascontiguousarray(getattr(parts, field.name)).tobytes())
+print(digest.hexdigest())
+"""
+
+    @staticmethod
+    def stdout_digests(args):
+        """SHA-256 of a child's stdout under one and two OpenBLAS threads."""
+        import hashlib
+        import os
+        import subprocess
+        import sys
+
+        import exact_uncertainty
+
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(exact_uncertainty.__file__)))
+            run = subprocess.run([sys.executable, *args], env=env, capture_output=True, check=True)
+            digests.append(hashlib.sha256(run.stdout).hexdigest())
+        return digests
+
+    def test_epr_demo_report(self):
+        one, two = self.stdout_digests(["-m", "exact_uncertainty.cli", "epr-demo",
+                                        "--sigma", "0.2", "--tau", "5"])
+        assert one == two
+
+    def test_pooled_decomposition(self):
+        one, two = self.stdout_digests(["-c", self.POOLED])
+        assert one == two
+
+
 def full_grid_epr(params, gx, gy):
     """build_epr's exponent evaluated on the whole lattice, normalized by
-    division with the norm summed over the same row blocks."""
-    from exact_uncertainty.grids import row_blocks
+    division with the norm summed as build_epr sums it: over the same row
+    blocks, by ``real_inner``."""
+    from exact_uncertainty.grids import real_inner, row_blocks
 
     x1, x2 = gx.points(), gy.points()
     expo = -((x1[:, None] - x2 - params.a) ** 2 / (4.0 * params.sigma ** 2)) \
         - (x1[:, None] + x2) ** 2 / (4.0 * params.tau ** 2)
     psi = np.multiply(np.exp(0.5j * params.p0 * x1)[:, None], np.exp(0.5j * params.p0 * x2))
     psi *= np.exp(expo)
-    norm_sq = sum(np.vdot(psi[rows], psi[rows]).real for rows in row_blocks(*psi.shape))
+    norm_sq = sum(real_inner(psi[rows], psi[rows]) for rows in row_blocks(*psi.shape))
     psi /= np.sqrt(norm_sq * (gx.dx * gy.dx))
     return psi
 
