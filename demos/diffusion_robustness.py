@@ -10,7 +10,7 @@ grid = GridSpec(1024, -20.0, 20.0)
 x = grid.points()
 
 for name, sigma in (("narrow", 0.5), ("broad", 2.0)):
-    dens = LineDensity(grid, np.exp(-x ** 2 / (2 * sigma ** 2))).normalized()
+    dens = LineDensity(grid, np.exp(-x ** 2 / (2 * sigma ** 2)))
     run = diffusion_entropy_rate(dens, gamma=1e-3, drift=0.0, dt=1e-2, steps=10)
     predicted = run.gamma / run.fisher_lengths[0] ** 2
     print(f"{name} Gaussian (sigma = {sigma}):")
@@ -19,7 +19,7 @@ for name, sigma in (("narrow", 0.5), ("broad", 2.0)):
 
 print("\nbimodal density, rate tracked along the flow:")
 p = np.exp(-(x - 2.5) ** 2 / 2) + 0.7 * np.exp(-(x + 2.5) ** 2 / (2 * 0.8 ** 2))
-dens = LineDensity(grid, p).normalized()
+dens = LineDensity(grid, p)
 run = diffusion_entropy_rate(dens, gamma=1e-3, drift=0.3, dt=1e-2, steps=10)
 for k in range(0, 10, 3):
     predicted = run.gamma / run.fisher_lengths[k] ** 2

@@ -41,8 +41,8 @@ print(f"\nclassical momentum of each particle: constant "
 print("so ALL momentum correlation lives in the nonclassical components:")
 corr = correlations(parts)
 print(f"  r_P(X1, X2)         = {corr.r_pearson_position:+.6f}")
-print(f"  r_P(P1_nc, P2_nc)   = {corr.pair.r_pearson:+.6f}")
-print(f"  r_F(X1, X2)         = {corr.pair.r_fisher:+.6f}")
+print(f"  r_P(P1_nc, P2_nc)   = {corr.r_pearson:+.6f}")
+print(f"  r_F(X1, X2)         = {corr.r_fisher:+.6f}")
 print(f"  correlation relation residual |r_P + r_F| = {corr.residual:.2e}")
 
 product = parts.cov_position @ parts.cov_momentum

@@ -16,7 +16,7 @@ from .decomposition import (
     extended_number_nonclassical,
     minimum_error,
 )
-from .densities import DiscreteDistribution, LineDensity, PlaneDensity, circle_density
+from .densities import DiscreteDistribution, LineDensity, circle_density
 from .energy import (
     BoundReport,
     EnergyModel,
@@ -75,7 +75,6 @@ from .states import (
     variance,
 )
 from .twoparticle import (
-    CorrelationPair,
     EprParams,
     build_epr,
     collapse_momentum,

@@ -439,8 +439,8 @@ def cmd_epr_demo(config: RunConfig, args) -> tuple[int, dict]:
         "correlations": {
             "pearson_position": corr.r_pearson_position,
             "pearson_momentum": corr.r_pearson_momentum,
-            "pearson_nonclassical": corr.pair.r_pearson,
-            "fisher_position": corr.pair.r_fisher,
+            "pearson_nonclassical": corr.r_pearson,
+            "fisher_position": corr.r_fisher,
             "relation_residual": corr.residual,
             "pearson_sum_residual": abs(corr.r_pearson_position + corr.r_pearson_momentum),
         },

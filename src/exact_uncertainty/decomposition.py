@@ -191,7 +191,7 @@ def line_measurement(state, conjugate: bool = False) -> LineMeasurement:
     sums = ensemble_sum(line_state, partial(_line_terms, partner=not conjugate))
     density, numerator, z, moments_a = sums[:4]
     line = LineDensity(grid, density)
-    fisher = (commutator_fisher_length(line, 2.0 * np.real(z)) if mixed and not conjugate
+    fisher = (commutator_fisher_length(grid, density, 2.0 * np.real(z)) if mixed and not conjugate
               else fisher_length(line))
     # P_cl = hbar Im[psi* psi'] / |psi|^2, branch-free; X_cl(p) of psi when conjugate
     classical = _component(grid.points(), numerator, density, grid.dx,

@@ -1,4 +1,4 @@
-"""Probability densities on lines, circles, planes, and discrete labels."""
+"""Probability densities on lines and circles, and over discrete labels."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import VanishingDensity
 from .grids import GridSpec
+from .states import _in_range
 
 MASK_FLOOR = 1e-12  # labels with p below this fraction of max(p) are masked
 MASKED_MASS_LIMIT = 0.2  # more probability mass than this on masked labels is an error
@@ -35,7 +36,9 @@ def masked_ratio(numerator: np.ndarray, density: np.ndarray, measure: float,
 
 @dataclass(frozen=True)
 class LineDensity:
-    """Nonnegative samples p(x_k) on a uniform grid, integral dx = 1."""
+    """Nonnegative samples p(x_k) on a uniform grid, normalized where it is
+    built: the values are divided by their total sum(p) dx at any scale
+    (``states._in_range``)."""
 
     grid: GridSpec
     values: np.ndarray
@@ -46,14 +49,9 @@ class LineDensity:
             raise ValueError("value count does not match grid")
         if vals.min() < -1e-14 * max(vals.max(), 1.0):
             raise ValueError("density has negative values")
-        object.__setattr__(self, "values", np.clip(vals, 0.0, None))
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.values) * self.grid.dx)
-
-    def normalized(self) -> "LineDensity":
-        return LineDensity(self.grid, self.values / self.total)
+        vals, total = _in_range(np.clip(vals, 0.0, None),
+                                lambda v: float(np.sum(v) * self.grid.dx))
+        object.__setattr__(self, "values", vals / total)
 
     def mask(self) -> np.ndarray:
         return floor_mask(self.values)
@@ -70,37 +68,9 @@ def circle_density(values) -> LineDensity:
 
 
 @dataclass(frozen=True)
-class PlaneDensity:
-    """Nonnegative samples p(x_k, y_l); integral dx dy = 1."""
-
-    grid_x: GridSpec
-    grid_y: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid_x.n_points, self.grid_y.n_points):
-            raise ValueError("value shape does not match grids")
-        object.__setattr__(self, "values", np.clip(vals, 0.0, None))
-
-    @property
-    def measure(self) -> float:
-        return self.grid_x.dx * self.grid_y.dx
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.values) * self.measure)
-
-    def normalized(self) -> "PlaneDensity":
-        return PlaneDensity(self.grid_x, self.grid_y, self.values / self.total)
-
-    def mask(self) -> np.ndarray:
-        return floor_mask(self.values)
-
-
-@dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probabilities over a finite outcome set."""
+    """Probabilities over a finite outcome set, divided by their sum where
+    they are built, at any scale (``states._in_range``)."""
 
     probs: np.ndarray
 
@@ -108,11 +78,9 @@ class DiscreteDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.min() < -1e-14:
             raise ValueError("negative probability")
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+        p, total = _in_range(np.clip(p, 0.0, None), lambda q: float(q.sum()))
+        object.__setattr__(self, "probs", p / total)
 
     @property
     def n_outcomes(self) -> int:
         return self.probs.size
-
-    def normalized(self) -> "DiscreteDistribution":
-        return DiscreteDistribution(self.probs / self.probs.sum())

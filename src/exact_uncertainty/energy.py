@@ -101,7 +101,7 @@ def energy_identity(state: GridPureState, model: EnergyModel) -> dict:
     comp = classical_estimate(state, "position", "P")
     v = model.potential_on(state.grid)
     mask = comp.mask
-    v_mean = float(np.sum(dens.normalized().values[mask] * v[mask]) * state.grid.dx)
+    v_mean = float(np.sum(dens.values[mask] * v[mask]) * state.grid.dx)
 
     fisher_term = c.hbar ** 2 / (8.0 * c.mass * fm.fisher_length ** 2) \
         if fm.divergence_flag == FINITE else float("inf")
@@ -122,7 +122,6 @@ def energy_identity(state: GridPureState, model: EnergyModel) -> dict:
 def fisher_bound(density: LineDensity, model: EnergyModel) -> BoundReport:
     """E >= hbar^2/(8 m dX^2) + <V>; saturated by real wavefunctions."""
     c = model.constants
-    density = density.normalized()
     fm = fisher_length(density)
     v = model.potential_on(density.grid)
     mask = density.mask()
@@ -147,7 +146,6 @@ def entropic_bound_value(s: float, v_mean: float, constants: Constants) -> float
 
 def entropic_bound(density: LineDensity, model: EnergyModel) -> BoundReport:
     """The entropy route applied to one given density."""
-    density = density.normalized()
     s = entropy(density)
     v = model.potential_on(density.grid)
     mask = density.mask()
@@ -241,7 +239,6 @@ def mean_inverse_abs(density: LineDensity, exclusion_cells: int = 1) -> float:
     The integrand is integrable when the density vanishes at the origin;
     the two-radius evaluation removes the O(eps^2) exclusion error.
     """
-    density = density.normalized()
     x = density.grid.points()
     p = density.values
 

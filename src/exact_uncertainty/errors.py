@@ -6,7 +6,7 @@ class ExactUncertaintyError(Exception):
 
 
 class ZeroNorm(ExactUncertaintyError):
-    """State amplitudes have vanishing norm; normalization is undefined."""
+    """State amplitudes or a density have vanishing norm; normalization is undefined."""
 
 
 class UnsupportedObservable(ExactUncertaintyError):

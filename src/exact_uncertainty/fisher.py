@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import MASKED_MASS_LIMIT, DiscreteDistribution, LineDensity, PlaneDensity
+from .densities import MASKED_MASS_LIMIT, DiscreteDistribution, LineDensity
 from .errors import SingularInformation, UnstableStep, VanishingDensity
-from .grids import (
-    GridSpec,
-    density_derivative_columns,
-    local_derivative,
-    real_derivative_axis,
-    row_blocks,
-    spectral_derivative,
-)
+from .grids import GridSpec, local_derivative, real_derivative_axis, spectral_derivative
 from .states import MixedState, ensemble_sum
 
 FINITE = "finite"
@@ -84,7 +77,6 @@ def fisher_length(density: LineDensity) -> FisherMetrics:
     (half-line supports such as exponential densities, whose periodic wrap
     is a grid artifact rather than an interior jump).
     """
-    density = density.normalized()
     p = density.values
     dx = density.grid.dx
     mask = density.mask()
@@ -106,7 +98,6 @@ def fisher_length_periodic(density: LineDensity) -> FisherMetrics:
     A uniform density has no information at all and is flagged infinite
     rather than encoded as a float sentinel.
     """
-    density = density.normalized()
     dp = real_derivative_axis(density.values, density.grid, axis=0)
     return _spectral_metrics(density.values, dp, density.grid, density.mask(),
                              density.masked_mass(), periodic=True)
@@ -145,32 +136,32 @@ def fisher_length_mixed(state: MixedState) -> FisherMetrics:
     grid = state.grid
     comm_diag = ensemble_sum(state, lambda s: 2.0 * np.real(
         spectral_derivative(s.amplitudes, grid) * np.conj(s.amplitudes)))
-    return commutator_fisher_length(LineDensity(grid, state.position_density()), comm_diag)
+    return commutator_fisher_length(grid, state.position_density(), comm_diag)
 
 
-def commutator_fisher_length(density: LineDensity, derivative: np.ndarray) -> FisherMetrics:
-    """Fisher length of a mixture's line density p, whose p' is given in the
-    commutator form <x|[P,rho]|x> / (-i*hbar) = sum_i w_i 2 Re[psi_i' psi_i*];
-    it agrees with fisher_length of p for smooth states."""
-    total = density.total
-    density = density.normalized()
+def commutator_fisher_length(grid: GridSpec, values: np.ndarray,
+                             derivative: np.ndarray) -> FisherMetrics:
+    """Fisher length of a mixture's line density p = ``values``, whose p' is
+    given in the commutator form <x|[P,rho]|x> / (-i*hbar) = sum_i w_i 2 Re[psi_i' psi_i*];
+    it agrees with fisher_length of p for smooth states.  p' is divided by
+    the total sum(p) dx that ``LineDensity`` divides p by (the members are
+    unit-norm, so that total is near 1 and used as it is)."""
+    density = LineDensity(grid, values)
     masked_mass = density.masked_mass()
     if masked_mass > MASKED_MASS_LIMIT:
         raise VanishingDensity("more than 20% of mass on masked points")
-    return _spectral_metrics(density.values, derivative / total, density.grid, density.mask(),
-                             masked_mass)
+    return _spectral_metrics(density.values, derivative / float(np.sum(values) * grid.dx),
+                             grid, density.mask(), masked_mass)
 
 
 def phase_variance(density: LineDensity, theta: float) -> float:
     """Variance of the angle about theta, integrated over (theta-pi, theta+pi],
     for a circle density."""
-    density = density.normalized()
     d = np.mod(density.grid.points() - theta + np.pi, 2.0 * np.pi) - np.pi
     return float(np.sum(d ** 2 * density.values) * density.grid.dx)
 
 
 def circular_mean(density: LineDensity) -> float:
-    density = density.normalized()
     z = np.sum(np.exp(1j * density.grid.points()) * density.values) * density.grid.dx
     return float(np.angle(z) % (2.0 * np.pi))
 
@@ -178,11 +169,9 @@ def circular_mean(density: LineDensity) -> float:
 def entropy(density) -> float:
     """Differential entropy -integral p ln p under the density's measure."""
     if isinstance(density, LineDensity):
-        w, p = density.grid.dx, density.normalized().values
-    elif isinstance(density, PlaneDensity):
-        w, p = density.measure, density.normalized().values
+        w, p = density.grid.dx, density.values
     elif isinstance(density, DiscreteDistribution):
-        w, p = 1.0, density.normalized().probs
+        w, p = 1.0, density.probs
     else:
         raise TypeError(f"no entropy for {type(density).__name__}")
     terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
@@ -191,41 +180,28 @@ def entropy(density) -> float:
 
 def collision_length(distribution: DiscreteDistribution) -> float:
     """1 / sum p_j^2: ranges from 1 (point mass) to n (uniform over n)."""
-    p = distribution.normalized().probs
-    return float(1.0 / np.sum(p ** 2))
+    return float(1.0 / np.sum(distribution.probs ** 2))
 
 
-def fisher_covariance(density) -> np.ndarray:
-    """Inverse of the translation Fisher information matrix.
-
-    Symmetric positive definite for smooth strictly positive densities;
-    equals the covariance matrix exactly for Gaussians.  A line density
-    yields the 1x1 matrix [[delta_X^2]].
+def fisher_covariance(density: LineDensity) -> np.ndarray:
+    """Inverse of the translation Fisher information matrix of a line
+    density: the 1x1 matrix [[delta_X^2]].  A 2D state's Fisher covariance is
+    ``twoparticle.nonclassical_components_2d(state).cov_fisher``.
     """
-    if isinstance(density, LineDensity):
-        fm = fisher_length(density)
-        return np.array([[fm.fisher_length ** 2]])
-    density = density.normalized()
-    p = density.values
-    mask = density.mask()
-    grad_x, _ = density_derivative_columns(p, density.grid_x)
-    sums = np.zeros(3)
-    for rows in row_blocks(*p.shape):
-        sums += plane_information_rows(p[rows], grad_x[rows], mask[rows], density.grid_y)
-    return inverse_information(sums * density.measure)
+    return np.array([[fisher_length(density).fisher_length ** 2]])
 
 
 def plane_information_rows(p: np.ndarray, grad_x: np.ndarray, mask: np.ndarray,
-                           grid_y: GridSpec, out=None, spec=None) -> np.ndarray:
+                           grid_y: GridSpec, out: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """Sums of (dp/dx)^2 / p, (dp/dx)(dp/dy) / p and (dp/dy)^2 / p over the
     retained points of a block of whole rows of a plane density.
 
     ``grad_x`` is the block's share of the spectral derivative along the
-    rows, which needs whole columns (``density_derivative_columns``); the
-    derivative along y is taken here, into ``out`` through the half
-    spectrum ``spec`` when they are given (``real_derivative_axis``).  The
-    products are summed pairwise (``np.sum``), not by a BLAS dot product,
-    which OpenBLAS would split over its threads above 10,000 points.
+    rows, which needs whole columns (``grids.density_derivative_columns``);
+    the derivative along y is taken here, into ``out`` through the half
+    spectrum ``spec`` (``real_derivative_axis``).  The products are summed
+    pairwise (``np.sum``), not by a BLAS dot product, which OpenBLAS would
+    split over its threads above 10,000 points.
     """
     grad_y = real_derivative_axis(p, grid_y, axis=1, out=out, spec=spec)[mask]
     grad_x, p = grad_x[mask], p[mask]
@@ -271,7 +247,6 @@ def diffusion_entropy_rate(density: LineDensity, gamma: float, drift: float,
     without time-discretization error.  Raises UnstableStep if entropy
     decreases while gamma > 0.
     """
-    density = density.normalized()
     grid = density.grid
     k = grid.wavenumbers()
     kernel = np.exp((-gamma * k ** 2 + 1j * drift * k) * dt)
@@ -285,7 +260,7 @@ def diffusion_entropy_rate(density: LineDensity, gamma: float, drift: float,
         if step < steps:
             spec = spec * kernel
             vals = np.clip(np.real(np.fft.ifft(spec)), 0.0, None)
-            cur = LineDensity(grid, vals).normalized()
+            cur = LineDensity(grid, vals)
     entropies = np.array(entropies)
     if gamma > 0 and np.any(np.diff(entropies) < -1e-12):
         raise UnstableStep("entropy decreased under pure diffusion")

@@ -200,8 +200,7 @@ def real_inner(a: np.ndarray, b: np.ndarray):
 
 
 def density_derivative_columns(values: np.ndarray, grid: GridSpec):
-    """dp/dx along axis 0 of the density p = |values|^2 (complex values) or
-    p = values (real), and max p.
+    """dp/dx along axis 0 of the density p = |values|^2, and max p.
 
     p is formed and transformed one block of whole columns at a time
     (``block_map``), so the float64 derivative is the only full-size array;
@@ -209,22 +208,17 @@ def density_derivative_columns(values: np.ndarray, grid: GridSpec):
     one, bit for bit.
     """
     n_rows, n_cols = values.shape
-    squared = np.iscomplexobj(values)
     out = np.empty(values.shape)
     blocks = list(row_blocks(n_cols, n_rows))  # whole columns instead of whole rows
     width = blocks[0].stop
 
     def scratch():
-        return (np.empty((n_rows, width)) if squared else None,
-                np.empty((n_rows // 2 + 1, width), complex))
+        return np.empty((n_rows, width)), np.empty((n_rows // 2 + 1, width), complex)
 
     def derivative(cols, buffers):
         n = cols.stop - cols.start
-        if squared:
-            p = np.abs(values[:, cols], out=buffers[0][:, :n])
-            p *= p
-        else:
-            p = values[:, cols]
+        p = np.abs(values[:, cols], out=buffers[0][:, :n])
+        p *= p
         real_derivative_axis(p, grid, 0, out=out[:, cols], spec=buffers[1][:, :n])
         return p.max()
 

@@ -97,4 +97,4 @@ def measurement_distribution(state: FiniteState, bases: MubSet,
     """Outcome probabilities of measuring one basis on the state."""
     basis = bases.bases[basis_index]
     probs = np.real(np.einsum("ij,ik,kj->j", basis.conj(), state.matrix, basis))
-    return DiscreteDistribution(np.clip(probs, 0.0, None)).normalized()
+    return DiscreteDistribution(np.clip(probs, 0.0, None))

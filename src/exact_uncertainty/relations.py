@@ -209,9 +209,7 @@ def _verify_circle(state, family: str, rel_id: str, tol: float) -> RelationRepor
 
     dens, var_b = record.density, record.partner_variance
     theta = circular_mean(dens)
-    normalized = dens.normalized()
-    opposite = np.interp(theta + np.pi, normalized.grid.points(), normalized.values,
-                         period=2.0 * np.pi)
+    opposite = np.interp(theta + np.pi, dens.grid.points(), dens.values, period=2.0 * np.pi)
     corollary_rhs = abs(1.0 - 2.0 * np.pi * opposite) * record.target
     corollary_lhs = float(np.sqrt(phase_variance(dens, theta) * var_b))
     notes = {

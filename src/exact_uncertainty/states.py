@@ -12,7 +12,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ParseError, UnsupportedObservable, ZeroNorm
-from .grids import GridSpec, row_blocks
+from .grids import GridSpec, block_map, block_workers, real_inner, row_blocks
 
 EDGE_DECAY = 1e-12  # box convention: amplitude at edges relative to peak
 HERMITIAN_TOL = 1e-10  # density matrices: anti-Hermitian part and negative eigenvalues
@@ -30,19 +30,19 @@ CIRCLE_FAMILIES = {"periodic": (1, "J", 256, 8), "fock": (-1, "N", 1024, 32)}
 def _norm_squared(state, a: np.ndarray | None = None) -> float:
     """sum |psi|^2 * measure of the state's amplitudes, or of ``a``."""
     a = state.amplitudes if a is None else a
-    if a.ndim == 2:  # over row blocks, with no full-size temporary
-        return float(sum(np.vdot(a[r], a[r]).real for r in row_blocks(*a.shape)) * state.measure)
+    if a.ndim == 2:  # row sums of row blocks (not on OpenBLAS's threads), on two threads if large
+        return float(sum(block_map(lambda r, _: real_inner(a[r], a[r]), row_blocks(*a.shape),
+                                   block_workers(a.nbytes))) * state.measure)
     return float(np.sum(np.abs(a) ** 2) * state.measure)
 
 
 def _set_amplitudes(state, shape: tuple) -> None:
     """Store a pure state's amplitudes as complex, of ``shape``, normalized,
     in C order (the 2D row sums read each row as one contiguous run)."""
-    amps = np.asarray(state.amplitudes, dtype=complex)
+    amps = np.ascontiguousarray(state.amplitudes, dtype=complex)
     if amps.shape != shape:
         raise ValueError(f"{amps.shape} amplitudes do not match the space {shape}")
-    amps = _normalized(amps, lambda a: _norm_squared(state, a))
-    object.__setattr__(state, "amplitudes", np.ascontiguousarray(amps))
+    object.__setattr__(state, "amplitudes", _normalized(amps, lambda a: _norm_squared(state, a)))
 
 
 @dataclass(frozen=True)

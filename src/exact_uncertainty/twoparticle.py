@@ -368,17 +368,12 @@ def _mixed_partials_residual(v1, v2, p, state, floor=None, edges=(True, True)) -
 
 
 @dataclass(frozen=True)
-class CorrelationPair:
-    r_pearson: float
-    r_fisher: float
-
-
-@dataclass(frozen=True)
 class CorrelationRelation:
     """r_P of the nonclassical momenta plus r_F of the positions, which the
     matrix relation forces to cancel."""
 
-    pair: CorrelationPair
+    r_pearson: float
+    r_fisher: float
     residual: float
     r_pearson_position: float
     r_pearson_momentum: float
@@ -397,7 +392,7 @@ def correlations(parts: TwoParticleDecomposition) -> CorrelationRelation:
     """The correlation relation read from a computed decomposition."""
     r_p_nc = pearson_from_cov(parts.cov_nonclassical)
     r_f_x = pearson_from_cov(parts.cov_fisher)
-    return CorrelationRelation(CorrelationPair(r_p_nc, r_f_x), abs(r_p_nc + r_f_x),
+    return CorrelationRelation(r_p_nc, r_f_x, abs(r_p_nc + r_f_x),
                                pearson_from_cov(parts.cov_position),
                                pearson_from_cov(parts.cov_momentum))
 

@@ -24,7 +24,7 @@ from exact_uncertainty.states import Constants, GridPureState, gaussian_state
 
 def half_gaussian_density(grid, sigma):
     x = grid.points()
-    return LineDensity(grid, np.exp(-x ** 2 / (2 * sigma ** 2))).normalized()
+    return LineDensity(grid, np.exp(-x ** 2 / (2 * sigma ** 2)))
 
 
 class TestEnergyIdentity:
@@ -75,7 +75,7 @@ class TestFisherBound:
         grid = GridSpec(4096, 0.0, 30.0)
         lam = 1.2
         x = grid.points()
-        dens = LineDensity(grid, np.exp(-x / lam) / lam).normalized()
+        dens = LineDensity(grid, np.exp(-x / lam) / lam)
         report = fisher_bound(dens, EnergyModel("gravity"))
         expected = 1 / (8 * lam ** 2) + lam
         # the endpoint-supported density carries an O(dx/lambda) Riemann
@@ -89,7 +89,7 @@ class TestFisherBound:
         v = 0.3 * x ** 2 + 0.5 * np.sin(x)
         model = EnergyModel("sampled", samples=v)
         p = (np.exp(-(x - 1) ** 2 / 2.2) + 0.5 * np.exp(-(x + 1.5) ** 2 / 1.5))
-        dens = LineDensity(grid, p).normalized()
+        dens = LineDensity(grid, p)
         bound = fisher_bound(dens, model)
         st = GridPureState(grid, np.sqrt(dens.values).astype(complex))
         parts = energy_identity(st, model)
@@ -118,7 +118,7 @@ class TestCoulomb:
     def test_inverse_radius_inequality_on_displaced_gaussian(self):
         grid = GridSpec(2048, -2.0, 14.0)
         x = grid.points()
-        dens = LineDensity(grid, np.exp(-(x - 5.0) ** 2 / (2 * 0.8 ** 2))).normalized()
+        dens = LineDensity(grid, np.exp(-(x - 5.0) ** 2 / (2 * 0.8 ** 2)))
         lhs = fisher_length(dens).fisher_information
         rhs = 4.0 * mean_inverse_abs(dens) ** 2
         assert lhs >= rhs
@@ -127,7 +127,7 @@ class TestCoulomb:
     def test_coulomb_fisher_bound_assembles_both_terms(self):
         grid = GridSpec(2048, -2.0, 14.0)
         x = grid.points()
-        dens = LineDensity(grid, np.exp(-(x - 5.0) ** 2 / (2 * 0.8 ** 2))).normalized()
+        dens = LineDensity(grid, np.exp(-(x - 5.0) ** 2 / (2 * 0.8 ** 2)))
         model = EnergyModel("coulomb", nuclear_charge=1.5, charge=1.0)
         report = fisher_bound(dens, model)
         fm = fisher_length(dens)
@@ -140,7 +140,7 @@ class TestCoulomb:
         # closed form: integral x e^{-2x} / integral x^2 e^{-2x} = 1
         grid = GridSpec(4096, 0.0, 24.0)
         x = grid.points()
-        dens = LineDensity(grid, x ** 2 * np.exp(-2 * x)).normalized()
+        dens = LineDensity(grid, x ** 2 * np.exp(-2 * x))
         assert mean_inverse_abs(dens) == pytest.approx(1.0, rel=1e-4)
 
 
@@ -182,7 +182,7 @@ class TestOrderingAndDivergence:
             for _ in range(int(rng.integers(1, 4))):
                 p += rng.uniform(0.3, 1.0) * np.exp(
                     -(x - rng.uniform(-2, 2)) ** 2 / (2 * rng.uniform(0.7, 1.5) ** 2))
-            dens = LineDensity(grid, p).normalized()
+            dens = LineDensity(grid, p)
             ent = entropic_bound(dens, model).bound
             fis = fisher_bound(dens, model).bound
             st = GridPureState(grid, np.sqrt(dens.values).astype(complex))
@@ -198,7 +198,7 @@ class TestOrderingAndDivergence:
             grid = GridSpec(n, -10.0, 10.0)
             x = grid.points()
             dens = LineDensity(grid, np.where(np.abs(x) < 2.0,
-                                              np.exp(-x ** 2 / 2), 0.0)).normalized()
+                                              np.exp(-x ** 2 / 2), 0.0))
             fm = fisher_length(dens)
             terms.append(1.0 / (8.0 * fm.fisher_length ** 2))
         assert terms[0] < terms[1] < terms[2] < terms[3]

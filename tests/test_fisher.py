@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exact_uncertainty.densities import (
-    DiscreteDistribution,
-    LineDensity,
-    PlaneDensity,
-    circle_density,
-)
+from exact_uncertainty.densities import DiscreteDistribution, LineDensity, circle_density
+from exact_uncertainty.errors import ParseError, ZeroNorm
 from exact_uncertainty.fisher import (
     DISCONTINUITY_RATIO,
     FINITE,
@@ -28,17 +24,46 @@ from exact_uncertainty.fisher import _information
 from exact_uncertainty.grids import GridSpec
 from exact_uncertainty.random_states import random_fock_state, random_periodic_state
 from exact_uncertainty.states import (
+    Grid2DPureState,
     GridMixedState,
     GridPureState,
     PeriodicState,
     gaussian_state,
 )
+from exact_uncertainty.twoparticle import nonclassical_components_2d
 
 
 def line_gaussian(grid, sigma, center=0.0):
     x = grid.points()
     p = np.exp(-((x - center) ** 2) / (2 * sigma ** 2))
-    return LineDensity(grid, p).normalized()
+    return LineDensity(grid, p)
+
+
+class TestNormalizedWhereBuilt:
+    """A density is divided by its total where it is built, at any scale."""
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-300])
+    def test_scaled_density_is_the_density(self, grid, scale):
+        p = np.exp(-grid.points() ** 2 / 2)
+        unscaled = LineDensity(grid, p)
+        scaled = LineDensity(grid, scale * p)
+        fm, ref = fisher_length(scaled), fisher_length(unscaled)
+        assert fm.divergence_flag == ref.divergence_flag == FINITE
+        assert fm.fisher_length == pytest.approx(ref.fisher_length, rel=1e-12)
+        assert entropy(scaled) == pytest.approx(entropy(unscaled), rel=1e-12)
+
+    def test_zero_and_nan_are_rejected(self, grid):
+        with pytest.raises(ZeroNorm):
+            LineDensity(grid, np.zeros(grid.n_points))
+        with pytest.raises(ParseError):
+            LineDensity(grid, np.full(grid.n_points, np.nan))
+        with pytest.raises(ZeroNorm):
+            DiscreteDistribution(np.zeros(3))
+        with pytest.raises(ParseError):
+            DiscreteDistribution([0.5, np.nan, 0.5])
+
+    def test_collision_length_of_huge_probabilities(self):
+        assert collision_length(DiscreteDistribution([1e308] * 3)) == pytest.approx(3.0, rel=1e-15)
 
 
 class TestFisherLength:
@@ -59,7 +84,7 @@ class TestFisherLength:
         for n in (1024, 2048, 4096):
             g = GridSpec(n, -10.0, 10.0)
             x = g.points()
-            dens = LineDensity(g, np.where(x >= 0, np.exp(-x ** 2 / 2), 0.0)).normalized()
+            dens = LineDensity(g, np.where(x >= 0, np.exp(-x ** 2 / 2), 0.0))
             fm = fisher_length(dens)
             assert fm.divergence_flag == ZERO_BY_DISCONTINUITY
             values[n] = fm.fisher_length
@@ -73,7 +98,7 @@ class TestFisherLength:
         x = grid.points()
         p = np.exp(-((x - a) ** 2) / (2 * sigma ** 2)) \
             + np.exp(-((x + a) ** 2) / (2 * sigma ** 2))
-        dens = LineDensity(grid, p).normalized()
+        dens = LineDensity(grid, p)
         fm = fisher_length(dens)
         rms = np.sqrt(np.sum(dens.values * x ** 2) * grid.dx)
         assert fm.fisher_length < 0.5 * rms  # far below, not merely below
@@ -91,7 +116,7 @@ class TestFisherLength:
     def test_finite_for_strictly_positive(self, rng, grid):
         x = grid.points()
         p = np.exp(-x ** 2 / 8) + 0.05 * np.exp(-(x - 3) ** 2 / 2) + 1e-4
-        fm = fisher_length(LineDensity(grid, p).normalized())
+        fm = fisher_length(LineDensity(grid, p))
         assert fm.divergence_flag == FINITE
         assert np.isfinite(fm.fisher_length)
 
@@ -109,7 +134,7 @@ class TestCramerRao:
         for _ in range(20):
             bump = rng.uniform(0.05, 0.3) * np.exp(-(x - rng.uniform(-2, 2)) ** 2
                                                    / (2 * rng.uniform(0.4, 1.0) ** 2))
-            dens = LineDensity(grid, base + bump).normalized()
+            dens = LineDensity(grid, base + bump)
             fm = fisher_length(dens)
             mean = np.sum(dens.values * x) * grid.dx
             rms = np.sqrt(np.sum(dens.values * (x - mean) ** 2) * grid.dx)
@@ -124,7 +149,7 @@ class TestPeriodic:
 
     def test_von_mises_finite_and_bounded_by_variance(self):
         phi = 2 * np.pi * np.arange(2048) / 2048
-        dens = circle_density(np.exp(3.0 * np.cos(phi - 1.0))).normalized()
+        dens = circle_density(np.exp(3.0 * np.cos(phi - 1.0)))
         fm = fisher_length_periodic(dens)
         assert fm.divergence_flag == FINITE
         theta = circular_mean(dens)
@@ -138,7 +163,7 @@ class TestPeriodic:
         theta = np.pi
         phi = 2 * np.pi * np.arange(4096) / 4096
         d = np.mod(phi - theta + np.pi, 2 * np.pi) - np.pi
-        dens = circle_density(np.exp(-d ** 2 / (2 * 0.5 ** 2))).normalized()
+        dens = circle_density(np.exp(-d ** 2 / (2 * 0.5 ** 2)))
         fm = fisher_length_periodic(dens)
         spread = np.sqrt(phase_variance(dens, theta))
         opposite = np.interp(theta + np.pi, dens.grid.points(), dens.values, period=2 * np.pi)
@@ -210,14 +235,14 @@ class TestPhaseVariance:
         values = []
         for w in widths:
             d = np.mod(phi - theta + np.pi, 2 * np.pi) - np.pi
-            dens = circle_density(np.exp(-d ** 2 / (2 * w ** 2))).normalized()
+            dens = circle_density(np.exp(-d ** 2 / (2 * w ** 2)))
             values.append(phase_variance(dens, theta))
         assert values[0] > values[1] > values[2]
         assert values[2] == pytest.approx(0.05 ** 2, rel=1e-3)
 
     def test_bounded_by_pi_squared(self, rng):
         p = rng.uniform(0.1, 1.0, size=512)
-        dens = circle_density(p).normalized()
+        dens = circle_density(p)
         assert phase_variance(dens, float(rng.uniform(0, 2 * np.pi))) <= np.pi ** 2 + 1e-12
 
 
@@ -255,7 +280,7 @@ class TestMixedFisher:
         b = gaussian_state(grid, 1.0, center=2.5)
         mix = GridMixedState.from_ensemble([(0.5, a), (0.5, b)])
         fm = fisher_length_mixed(mix)
-        dens = LineDensity(grid, mix.position_density()).normalized()
+        dens = LineDensity(grid, mix.position_density())
         fm_direct = fisher_length(dens)
         assert fm.fisher_length == pytest.approx(fm_direct.fisher_length, rel=1e-8)
 
@@ -271,39 +296,38 @@ class TestMixedFisher:
 
 
 class TestFisherCovariance:
-    def make_plane(self, n, span, builder):
+    """A 2D density's Fisher covariance is the decomposition's, from the
+    state sqrt(p); a line density's is [[delta_X^2]]."""
+
+    def plane(self, n, span, builder):
+        """The grid, the normalized density p and Cov_F of sqrt(p)."""
         g = GridSpec(n, -span, span)
-        x = g.points()[:, None]
-        y = g.points()[None, :]
-        return PlaneDensity(g, g, builder(x, y)).normalized()
+        p = builder(g.points()[:, None], g.points()[None, :])
+        p = p / (np.sum(p) * g.dx ** 2)
+        return g, p, nonclassical_components_2d(Grid2DPureState(g, g, np.sqrt(p))).cov_fisher
 
     def test_product_gaussian_diagonal(self):
         s1, s2 = 1.0, 1.7
-        dens = self.make_plane(256, 14.0,
-                               lambda x, y: np.exp(-x ** 2 / (2 * s1 ** 2)
-                                                   - y ** 2 / (2 * s2 ** 2)))
-        fcov = fisher_covariance(dens)
+        _, _, fcov = self.plane(256, 14.0, lambda x, y: np.exp(-x ** 2 / (2 * s1 ** 2)
+                                                               - y ** 2 / (2 * s2 ** 2)))
         assert fcov == pytest.approx(np.diag([s1 ** 2, s2 ** 2]), rel=1e-8)
 
     def test_correlated_gaussian_exact(self):
         cov = np.array([[1.0, 0.6], [0.6, 1.5]])
         prec = np.linalg.inv(cov)
-        dens = self.make_plane(256, 14.0,
-                               lambda x, y: np.exp(-0.5 * (prec[0, 0] * x ** 2
-                                                           + 2 * prec[0, 1] * x * y
-                                                           + prec[1, 1] * y ** 2)))
-        fcov = fisher_covariance(dens)
+        _, _, fcov = self.plane(256, 14.0,
+                                lambda x, y: np.exp(-0.5 * (prec[0, 0] * x ** 2
+                                                            + 2 * prec[0, 1] * x * y
+                                                            + prec[1, 1] * y ** 2)))
         assert np.max(np.abs(fcov - cov)) < 1e-8
 
     def test_ring_density_strict_cramer_rao(self):
-        dens = self.make_plane(256, 10.0,
-                               lambda x, y: np.exp(-((np.sqrt(x ** 2 + y ** 2) - 3.0) ** 2)
-                                                   / (2 * 0.5 ** 2)))
-        fcov = fisher_covariance(dens)
-        g = dens.grid_x
+        g, p, fcov = self.plane(256, 10.0,
+                                lambda x, y: np.exp(-((np.sqrt(x ** 2 + y ** 2) - 3.0) ** 2)
+                                                    / (2 * 0.5 ** 2)))
         x = g.points()[:, None]
         y = g.points()[None, :]
-        w = dens.values * dens.measure
+        w = p * g.dx ** 2
         cov = np.array([
             [np.sum(w * x * x), np.sum(w * x * y)],
             [np.sum(w * x * y), np.sum(w * y * y)],
@@ -338,7 +362,7 @@ class TestDiffusion:
     def test_bimodal_rate_tracks_fisher(self, grid):
         x = grid.points()
         p = np.exp(-(x - 2.5) ** 2 / 2) + 0.7 * np.exp(-(x + 2.5) ** 2 / (2 * 0.8 ** 2))
-        dens = LineDensity(grid, p).normalized()
+        dens = LineDensity(grid, p)
         run = diffusion_entropy_rate(dens, gamma=1e-3, drift=0.0, dt=1e-2, steps=10)
         for k in range(1, 10):
             predicted = run.gamma / run.fisher_lengths[k] ** 2

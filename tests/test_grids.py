@@ -110,20 +110,18 @@ def test_row_blocks_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
-@pytest.mark.parametrize("kind", ["complex", "real"])
-def test_density_derivative_columns_is_the_whole_matrix_transform(kind, pooled, block_pool,
+def test_density_derivative_columns_is_the_whole_matrix_transform(pooled, block_pool,
                                                                   monkeypatch):
     from exact_uncertainty import grids
 
     rng = np.random.default_rng(4)
     gx = GridSpec(200, -6.0, 6.0)
-    values = rng.normal(size=(200, 300)) + (1j * rng.normal(size=(200, 300))
-                                            if kind == "complex" else 0.0)
+    values = rng.normal(size=(200, 300)) + 1j * rng.normal(size=(200, 300))
     # 300 columns in blocks of 21, the last one narrower
     monkeypatch.setattr(grids, "BLOCK_BYTES", 16 * 200 * 21)
     if pooled:
         block_pool()
-    p = np.abs(values) ** 2 if kind == "complex" else values
+    p = np.abs(values) ** 2
     got, peak = grids.density_derivative_columns(values, gx)
     assert (grids._pool is not None) == pooled
     assert np.array_equal(got, real_derivative_axis(p, gx, axis=0))

@@ -87,7 +87,7 @@ class TestBuild:
         st = build_epr(params, g, g)
         rel = correlation_relation(st)
         assert abs(rel.r_pearson_position) < 1e-8
-        assert abs(rel.pair.r_pearson) < 1e-8
+        assert abs(rel.r_pearson) < 1e-8
 
     def test_blocked_build_matches_closed_form(self):
         import tracemalloc
@@ -239,17 +239,14 @@ class TestCorrelationRelation:
 
     def test_random_gaussians_cancel_exactly(self, rng):
         from exact_uncertainty.random_states import random_gaussian_2d
-        from exact_uncertainty.densities import PlaneDensity
-        from exact_uncertainty.fisher import fisher_covariance
 
         for _ in range(5):
             st = random_gaussian_2d(rng)
             rel = correlation_relation(st)
             assert rel.residual < 1e-6
             # Fisher correlation equals the Pearson one for Gaussians
-            fcov = fisher_covariance(PlaneDensity(st.grid_x, st.grid_y, st.position_density()))
             parts = nonclassical_components_2d(st)
-            assert pearson_from_cov(fcov) == pytest.approx(
+            assert pearson_from_cov(parts.cov_fisher) == pytest.approx(
                 pearson_from_cov(parts.cov_position), abs=1e-6)
 
 
@@ -390,8 +387,8 @@ class TestOneDecompositionPerReport:
         got = doc["correlations"]
         for key, expected in (("pearson_position", corr.r_pearson_position),
                               ("pearson_momentum", corr.r_pearson_momentum),
-                              ("pearson_nonclassical", corr.pair.r_pearson),
-                              ("fisher_position", corr.pair.r_fisher),
+                              ("pearson_nonclassical", corr.r_pearson),
+                              ("fisher_position", corr.r_fisher),
                               ("relation_residual", corr.residual)):
             assert got[key] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -426,12 +423,9 @@ class TestOneDecompositionPerReport:
         assert {dtype for _, dtype in widths} == {np.dtype(complex)}
 
     def test_blocked_reductions_match_unblocked_formulas(self, small_epr, small_epr_reference):
-        from exact_uncertainty.densities import PlaneDensity
-        from exact_uncertainty.fisher import fisher_covariance
         from exact_uncertainty.grids import row_blocks
 
         st = small_epr
-        plane = PlaneDensity(st.grid_x, st.grid_y, st.position_density())
         assert len(list(row_blocks(*st.amplitudes.shape))) > 2
         ref = small_epr_reference
         parts = nonclassical_components_2d(st)
@@ -446,8 +440,7 @@ class TestOneDecompositionPerReport:
         for name, got in (("cov_position", parts.cov_position),
                           ("cov_momentum", parts.cov_momentum),
                           ("cov_nonclassical", parts.cov_nonclassical),
-                          ("cov_fisher", parts.cov_fisher),
-                          ("cov_fisher", fisher_covariance(plane))):
+                          ("cov_fisher", parts.cov_fisher)):
             np.testing.assert_allclose(got, ref[name], rtol=1e-12, atol=0.0, err_msg=name)
         # Cov(P_cl) and <P_nc> nearly vanish here: they are compared on the
         # scale of Cov(P), as the additivity residual is
@@ -695,26 +688,22 @@ class TestBlockPool:
         from dataclasses import fields
 
         from exact_uncertainty import grids
-        from exact_uncertainty.densities import PlaneDensity
-        from exact_uncertainty.fisher import fisher_covariance
         from exact_uncertainty.random_states import random_gaussian_2d
 
         if case == "epr-1536":
             st = request.getfixturevalue("small_epr")
         else:
             st = random_gaussian_2d(np.random.default_rng(3), n_points=384)
-        plane = PlaneDensity(st.grid_x, st.grid_y, st.position_density())
         # a process bound to one CPU stays on one thread at any size
         monkeypatch.setattr(grids.os, "sched_getaffinity", lambda pid: {0})
-        serial, serial_fisher = nonclassical_components_2d(st), fisher_covariance(plane)
+        serial = nonclassical_components_2d(st)
         assert grids._pool is None
         block_pool()
-        pooled, pooled_fisher = nonclassical_components_2d(st), fisher_covariance(plane)
+        pooled = nonclassical_components_2d(st)
         assert grids._pool is not None
         for field in fields(serial):
             assert np.array_equal(getattr(pooled, field.name), getattr(serial, field.name)), \
                 field.name
-        assert np.array_equal(pooled_fisher, serial_fisher)
 
     def test_grid_below_the_rule_starts_no_thread(self, block_pool):
         import threading
@@ -742,11 +731,10 @@ class TestBlockPool:
 
 
 class TestBlasThreads:
-    """Up to 10,000 points per axis the EPR report makes no BLAS reduction
-    that OpenBLAS would split over its threads, so its bytes do not depend
-    on their number.  (The 384^2
-    multidim report is not compared: its random state's own build differs
-    by the BLAS thread count.)"""
+    """Up to 10,000 points per axis the EPR report and the 2D norm make no
+    BLAS reduction that OpenBLAS would split over its threads, so the EPR
+    report and the full suite's (its 384^2 multidim states are normalized
+    where they are built) do not depend on their number."""
 
     # the pooled decomposition of small_epr, forced onto two threads
     POOLED = """
@@ -794,6 +782,11 @@ print(digest.hexdigest())
 
     def test_pooled_decomposition(self):
         one, two = self.stdout_digests(["-c", self.POOLED])
+        assert one == two
+
+    def test_full_suite_report(self):
+        one, two = self.stdout_digests(["-m", "exact_uncertainty.cli", "verify",
+                                        "--suite", "full", "--n", "2"])
         assert one == two
 
 
