@@ -28,7 +28,6 @@ from .fisher import (
 )
 from .grids import GridSpec, real_derivative_axis, spectral_derivative
 from .states import (
-    Constants,
     GridPureState,
     MixedState,
     PeriodicState,
@@ -49,8 +48,6 @@ class ClassicalComponent:
     values: np.ndarray          # B_cl on the labels (masked entries hold 0)
     weights: np.ndarray         # probability mass per label, p(a) * measure
     mask: np.ndarray            # True where the label is retained
-    observable: str
-    basis: str
     masked_mass: float
 
     @property
@@ -129,8 +126,7 @@ def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent
     if kind == "grid" and key in (("position", "P"), ("momentum", "X")):
         line_state = state if basis == "position" else _reflected(state)
         density, numerator = ensemble_sum(line_state, partial(_line_terms, partner=False))[:2]
-        return _component(line_state.grid.points(), numerator, density, line_state.grid.dx,
-                          observable, basis)
+        return _component(line_state.grid.points(), numerator, density, line_state.grid.dx)
     if (kind, *key) in (("periodic", "phase", "J"), ("fock", "phase", "N"),
                         ("fock", "extended-phase", "N")):
         return circle_measurement(state).classical
@@ -138,12 +134,11 @@ def classical_estimate(state, basis: str, observable: str) -> ClassicalComponent
                                 f"for a {kind} state")
 
 
-def _component(labels, numerator, density, measure, observable, basis) -> ClassicalComponent:
+def _component(labels, numerator, density, measure) -> ClassicalComponent:
     """B_cl from the member sums of <a|B rho + rho B|a> / 2 (for one member psi,
     Re[<psi|a><a|B|psi>]) and of <a|rho|a>; negligible densities are masked."""
     values, mask, masked_mass = masked_ratio(numerator, density, measure)
-    return ClassicalComponent(labels, values, density * measure, mask, observable, basis,
-                              masked_mass)
+    return ClassicalComponent(labels, values, density * measure, mask, masked_mass)
 
 
 def _line_terms(member, partner: bool) -> tuple:
@@ -194,8 +189,7 @@ def line_measurement(state, conjugate: bool = False) -> LineMeasurement:
     fisher = (commutator_fisher_length(grid, density, 2.0 * np.real(z)) if mixed and not conjugate
               else fisher_length(line))
     # P_cl = hbar Im[psi* psi'] / |psi|^2, branch-free; X_cl(p) of psi when conjugate
-    classical = _component(grid.points(), numerator, density, grid.dx,
-                           *(("X", "momentum") if conjugate else ("P", "position")))
+    classical = _component(grid.points(), numerator, density, grid.dx)
     chain = None
     if mixed:
         # <x|P rho|x> = -i hbar d/dx rho(x, x') at x' = x = -i hbar sum_i w_i psi_i' psi_i*
@@ -225,8 +219,7 @@ def circle_measurement(state, m: int | None = None) -> LineMeasurement:
     density, numerator, partner = ensemble_sum(state, partial(_circle_terms, m=m))
     circle = circle_density(density)
     fisher = fisher_length_periodic(circle)
-    classical = _component(state.phase_grid(m), numerator, density, 2.0 * np.pi / m,
-                           state.observable, "phase")
+    classical = _component(state.phase_grid(m), numerator, density, 2.0 * np.pi / m)
     return LineMeasurement(circle, fisher, classical, tuple(float(v) for v in partner),
                            0.5 * abs(state.slope), isinstance(state, MixedState))
 
@@ -271,9 +264,9 @@ def decomposition_summary(state, basis: str, observable: str) -> DecompositionSu
     return DecompositionSummary(var_total, var_cl, var_nc, residual, min_err)
 
 
-def energy_split(state: PeriodicState, constants: Constants | None = None) -> tuple[float, float]:
+def energy_split(state: PeriodicState) -> tuple[float, float]:
     """(E_cl, E_nc) with E_cl = hbar*omega*<N_cl> and E_cl + E_nc = hbar*omega*<N + 1/2>."""
-    c = constants or state.constants
+    c = state.constants
     comp = classical_estimate(state, "phase", "N")
     e_cl = c.hbar * c.omega * comp.mean
     total = c.hbar * c.omega * (moment(state, "N", 1) + 0.5)

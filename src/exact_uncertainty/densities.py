@@ -80,7 +80,3 @@ class DiscreteDistribution:
             raise ValueError("negative probability")
         p, total = _in_range(np.clip(p, 0.0, None), lambda q: float(q.sum()))
         object.__setattr__(self, "probs", p / total)
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.probs.size

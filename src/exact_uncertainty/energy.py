@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
-from .decomposition import classical_estimate
+from .decomposition import line_measurement
 from .densities import LineDensity
 from .fisher import FINITE, entropy, fisher_length
-from .states import Constants, GridPureState, moment
+from .states import Constants, GridPureState
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,13 +61,14 @@ class BoundReport:
     notes: dict = field(default_factory=dict)
 
 
-def golden_minimize(f, lo: float, hi: float, iterations: int = 200) -> tuple[float, float]:
-    """Deterministic golden-section minimum of a unimodal f on [lo, hi]."""
+def golden_minimize(f, lo: float, hi: float) -> tuple[float, float]:
+    """Deterministic golden-section minimum of a unimodal f on [lo, hi], in
+    at most 200 steps."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(200):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -93,22 +94,26 @@ def bracket_minimum(f, start: float = 1.0) -> tuple[float, float]:
     return lo, hi
 
 
+def _potential_mean(density: LineDensity, model: EnergyModel, mask: np.ndarray) -> float:
+    """<V> by the plain quadrature over the retained points ``mask``."""
+    v = model.potential_on(density.grid)
+    return float(np.sum(density.values[mask] * v[mask]) * density.grid.dx)
+
+
 def energy_identity(state: GridPureState, model: EnergyModel) -> dict:
-    """Three-term energy split and the independently computed <H>."""
+    """Three-term energy split and the independently computed <H>, from the
+    xp report's measurement (one forward FFT of psi)."""
     c = model.constants
-    dens = LineDensity(state.grid, state.position_density())
-    fm = fisher_length(dens)
-    comp = classical_estimate(state, "position", "P")
-    v = model.potential_on(state.grid)
-    mask = comp.mask
-    v_mean = float(np.sum(dens.values[mask] * v[mask]) * state.grid.dx)
+    record = line_measurement(state)
+    fm, comp = record.fisher, record.classical
+    v_mean = _potential_mean(record.density, model, comp.mask)
 
     fisher_term = c.hbar ** 2 / (8.0 * c.mass * fm.fisher_length ** 2) \
         if fm.divergence_flag == FINITE else float("inf")
     drift_term = comp.second_moment / (2.0 * c.mass)
     total = fisher_term + drift_term + v_mean
 
-    kinetic = moment(state, "P", 2) / (2.0 * c.mass)
+    kinetic = record.partner[1] / (2.0 * c.mass)
     return {
         "fisher_term": fisher_term,
         "drift_term": drift_term,
@@ -123,13 +128,10 @@ def fisher_bound(density: LineDensity, model: EnergyModel) -> BoundReport:
     """E >= hbar^2/(8 m dX^2) + <V>; saturated by real wavefunctions."""
     c = model.constants
     fm = fisher_length(density)
-    v = model.potential_on(density.grid)
-    mask = density.mask()
     if model.kind == "coulomb":
-        v_mean = -model.nuclear_charge * model.charge ** 2 \
-            * mean_inverse_abs(density)
+        v_mean = -model.nuclear_charge * model.charge ** 2 * mean_inverse_abs(density)
     else:
-        v_mean = float(np.sum(density.values[mask] * v[mask]) * density.grid.dx)
+        v_mean = _potential_mean(density, model, density.mask())
     if fm.divergence_flag != FINITE:
         return BoundReport(float("inf"), "fisher", {},
                            notes={"fisher_flag": fm.divergence_flag})
@@ -147,69 +149,60 @@ def entropic_bound_value(s: float, v_mean: float, constants: Constants) -> float
 def entropic_bound(density: LineDensity, model: EnergyModel) -> BoundReport:
     """The entropy route applied to one given density."""
     s = entropy(density)
-    v = model.potential_on(density.grid)
-    mask = density.mask()
-    v_mean = float(np.sum(density.values[mask] * v[mask]) * density.grid.dx)
+    v_mean = _potential_mean(density, model, density.mask())
     bound = entropic_bound_value(s, v_mean, model.constants)
     return BoundReport(bound, "entropic", {"entropy": s}, notes={"potential_mean": v_mean})
 
 
-def entropic_groundstate_bound(model: EnergyModel) -> BoundReport:
-    """Maximize entropy at fixed potential mean, then minimize over the family.
-
-    harmonic -> Gaussian family, optimum hbar*omega/2 (the true ground
-    energy); gravity -> exponential family, optimum
-    (3/2) (pi/2e)^{1/3} (m g^2 hbar^2)^{1/3}.
-    """
+def _family(model: EnergyModel) -> tuple | None:
+    """The one-parameter density family of both ground-state routes, whose
+    Fisher length is its parameter t: (name, parameter, start scale of the
+    search, S(t), <V>(t), {route: closed-form minimum, or None}); None for a
+    potential without one."""
     c = model.constants
-    if model.kind == "harmonic":
-        def objective(sigma):
-            s = 0.5 * math.log(2.0 * math.pi * math.e * sigma ** 2)
-            return entropic_bound_value(s, 0.5 * c.mass * c.omega ** 2 * sigma ** 2, c)
+    if model.kind == "harmonic":  # Gaussian densities of width sigma
+        ground = 0.5 * c.hbar * c.omega  # the true ground energy
+        return ("gaussian", "sigma", math.sqrt(c.hbar / (c.mass * c.omega)),
+                lambda t: 0.5 * math.log(2.0 * math.pi * math.e * t ** 2),
+                lambda t: 0.5 * c.mass * c.omega ** 2 * t ** 2,
+                {"entropic": ground, "fisher": ground})
+    if model.kind == "gravity":  # exponential densities of mean lambda
+        return ("exponential", "lambda",
+                (c.hbar ** 2 / (c.mass ** 2 * model.gravity)) ** (1.0 / 3.0),
+                lambda t: 1.0 + math.log(t),
+                lambda t: c.mass * model.gravity * t,
+                {"entropic": 1.5 * (math.pi / (2.0 * math.e)) ** (1.0 / 3.0)
+                 * (c.mass * model.gravity ** 2 * c.hbar ** 2) ** (1.0 / 3.0), "fisher": None})
+    return None
 
-        lo, hi = bracket_minimum(objective, start=math.sqrt(c.hbar / (c.mass * c.omega)))
-        sigma_star, value = golden_minimize(objective, lo, hi)
-        closed = 0.5 * c.hbar * c.omega
-        return BoundReport(value, "entropic", {"sigma": sigma_star}, comparison=closed,
-                           notes={"family": "gaussian"})
-    if model.kind == "gravity":
-        def objective(lam):
-            s = 1.0 + math.log(lam)  # exponential-density entropy
-            return entropic_bound_value(s, c.mass * model.gravity * lam, c)
 
-        scale = (c.hbar ** 2 / (c.mass ** 2 * model.gravity)) ** (1.0 / 3.0)
-        lo, hi = bracket_minimum(objective, start=scale)
-        lam_star, value = golden_minimize(objective, lo, hi)
-        closed = 1.5 * (math.pi / (2.0 * math.e)) ** (1.0 / 3.0) \
-            * (c.mass * model.gravity ** 2 * c.hbar ** 2) ** (1.0 / 3.0)
-        return BoundReport(value, "entropic", {"lambda": lam_star}, comparison=closed,
-                           notes={"family": "exponential"})
-    raise ValueError(f"no entropy-maximizing family for {model.kind!r}")
+def _groundstate_bound(model: EnergyModel, route: str, what: str, bound) -> BoundReport:
+    """The minimum over the model's family of ``bound(S, V, t)``, where S and
+    V give the family's entropy and potential mean at t."""
+    family = _family(model)
+    if family is None:
+        raise ValueError(f"no {what} family for {model.kind!r}")
+    name, parameter, scale, entropy_at, potential_at, closed = family
+    objective = partial(bound, entropy_at, potential_at)
+    lo, hi = bracket_minimum(objective, start=scale)
+    t_star, value = golden_minimize(objective, lo, hi)
+    return BoundReport(value, route, {parameter: t_star}, comparison=closed[route],
+                       notes={"family": name})
+
+
+def entropic_groundstate_bound(model: EnergyModel) -> BoundReport:
+    """Maximize entropy at fixed potential mean, then minimize over the family:
+    hbar*omega/2 (the true ground energy) for the harmonic potential, and
+    (3/2) (pi/2e)^{1/3} (m g^2 hbar^2)^{1/3} for gravity."""
+    return _groundstate_bound(model, "entropic", "entropy-maximizing", lambda s, v, t:
+                              entropic_bound_value(s(t), v(t), model.constants))
 
 
 def fisher_groundstate_bound(model: EnergyModel) -> BoundReport:
     """The Fisher route over the same one-parameter families."""
     c = model.constants
-    if model.kind == "harmonic":
-        def objective(sigma):
-            return c.hbar ** 2 / (8.0 * c.mass * sigma ** 2) \
-                + 0.5 * c.mass * c.omega ** 2 * sigma ** 2
-
-        lo, hi = bracket_minimum(objective, start=math.sqrt(c.hbar / (c.mass * c.omega)))
-        sigma_star, value = golden_minimize(objective, lo, hi)
-        return BoundReport(value, "fisher", {"sigma": sigma_star},
-                           comparison=0.5 * c.hbar * c.omega, notes={"family": "gaussian"})
-    if model.kind == "gravity":
-        def objective(lam):
-            # exponential density has Fisher length lambda
-            return c.hbar ** 2 / (8.0 * c.mass * lam ** 2) + c.mass * model.gravity * lam
-
-        scale = (c.hbar ** 2 / (c.mass ** 2 * model.gravity)) ** (1.0 / 3.0)
-        lo, hi = bracket_minimum(objective, start=scale)
-        lam_star, value = golden_minimize(objective, lo, hi)
-        return BoundReport(value, "fisher", {"lambda": lam_star},
-                           notes={"family": "exponential"})
-    raise ValueError(f"no Fisher family for {model.kind!r}")
+    return _groundstate_bound(model, "fisher", "Fisher", lambda s, v, t:
+                              c.hbar ** 2 / (8.0 * c.mass * t ** 2) + v(t))
 
 
 def coulomb_groundstate_bound(nuclear_charge: float, charge: float,
@@ -233,8 +226,8 @@ def coulomb_groundstate_bound(nuclear_charge: float, charge: float,
                        comparison=closed, notes={})
 
 
-def mean_inverse_abs(density: LineDensity, exclusion_cells: int = 1) -> float:
-    """<1/|x|> with a symmetric cell excluded around x = 0, Richardson-refined.
+def mean_inverse_abs(density: LineDensity) -> float:
+    """<1/|x|> with one cell excluded on each side of x = 0, Richardson-refined.
 
     The integrand is integrable when the density vanishes at the origin;
     the two-radius evaluation removes the O(eps^2) exclusion error.
@@ -246,20 +239,20 @@ def mean_inverse_abs(density: LineDensity, exclusion_cells: int = 1) -> float:
         sel = np.abs(x) > eps
         return float(np.sum(p[sel] / np.abs(x[sel])) * density.grid.dx)
 
-    eps1 = exclusion_cells * density.grid.dx
-    i1 = integral(eps1)
-    i2 = integral(2.0 * eps1)
+    i1 = integral(density.grid.dx)
+    i2 = integral(2.0 * density.grid.dx)
     return (4.0 * i1 - i2) / 3.0
 
 
 @cache
-def airy_first_zero(step: float = 1e-3) -> float:
+def airy_first_zero() -> float:
     """First zero of Ai(-z), from integrating u'' = -z u and bisecting.
 
     Initial data are the standard Ai(0), Ai'(0) values; fourth-order
-    Runge-Kutta in z keeps the bracketing error far below the bisection
-    tolerance.  A pure function of ``step``, so it is solved once per step.
+    Runge-Kutta in z with steps of at most 1e-3 keeps the bracketing error
+    far below the bisection tolerance.  Solved once per process.
     """
+    step = 1e-3
     u0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)   # Ai(0)
     du0 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)  # -Ai'(0)
 

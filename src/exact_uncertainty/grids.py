@@ -57,18 +57,16 @@ class GridSpec:
         return GridSpec(self.n_points, -half * dp, half * dp)
 
 
-def spectral_derivative(values, grid: GridSpec, order: int = 1, spectrum=None) -> np.ndarray:
-    """Differentiate samples of a periodic (or box-decayed) function; from
-    ``spectrum``, their ``np.fft.fft``, when the caller has formed it.
+def spectral_derivative(values, grid: GridSpec, spectrum=None) -> np.ndarray:
+    """First derivative of samples of a periodic (or box-decayed) function;
+    from ``spectrum``, their ``np.fft.fft``, when the caller has formed it.
 
-    Exact for band-limited inputs.  The Nyquist mode is zeroed for odd
-    orders, where its derivative is not representable on the grid.
+    Exact for band-limited inputs.  The Nyquist mode is zeroed: its
+    derivative is not representable on the grid.
     """
     spectrum = np.fft.fft(np.asarray(values, dtype=complex)) if spectrum is None else spectrum
-    k = grid.wavenumbers()
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[grid.n_points // 2] = 0.0
+    mult = 1j * grid.wavenumbers()
+    mult[grid.n_points // 2] = 0.0
     return np.fft.ifft(mult * spectrum)
 
 
@@ -236,29 +234,17 @@ def local_derivative(values, dx: float) -> np.ndarray:
 
 
 def fourier_interpolate(values, factor: int = 2) -> np.ndarray:
-    """Trigonometric upsampling of periodic samples by an integer factor.
-
-    Works on 1D vectors or 2D matrices (both axes upsampled).  Nyquist
-    bins are split evenly, which preserves real-valuedness and norm.
+    """Trigonometric upsampling of periodic samples (a vector) by an integer
+    factor.  Nyquist bins are split evenly, which preserves real-valuedness
+    and norm.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        return _interp_axis(values, factor, axis=0)
-    out = _interp_axis(values, factor, axis=0)
-    return _interp_axis(out, factor, axis=1)
-
-
-def _interp_axis(values: np.ndarray, factor: int, axis: int) -> np.ndarray:
-    n = values.shape[axis]
-    spec = np.fft.fft(values, axis=axis)
-    spec = np.moveaxis(spec, axis, 0)
-    m = factor * n
-    padded = np.zeros((m,) + spec.shape[1:], dtype=complex)
-    half = n // 2
+    spec = np.fft.fft(np.asarray(values, dtype=complex))
+    n = spec.size
+    m, half = factor * n, n // 2
+    padded = np.zeros(m, dtype=complex)
     padded[:half] = spec[:half]
     padded[m - half:] = spec[half:]
     # split the Nyquist bin between +n/2 and -n/2
     padded[half] = 0.5 * spec[half]
     padded[m - half] = 0.5 * spec[half]
-    out = np.fft.ifft(padded, axis=0) * factor
-    return np.moveaxis(out, 0, axis)
+    return np.fft.ifft(padded) * factor

@@ -71,10 +71,10 @@ def _fix_phases(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def complementarity_check(bases: MubSet, tol: float = 1e-10) -> dict:
+def complementarity_check(bases: MubSet) -> dict:
     """Verify orthonormality and uniform cross-basis overlaps.
 
-    Returns the worst deviations; raises NotComplementary beyond tolerance.
+    Returns the worst deviations; raises NotComplementary beyond 1e-10.
     """
     d = bases.dimension
     ortho_dev = 0.0
@@ -85,7 +85,7 @@ def complementarity_check(bases: MubSet, tol: float = 1e-10) -> dict:
         for j in range(i + 1, bases.n_bases):
             cross = np.abs(bases.bases[i].conj().T @ bases.bases[j]) ** 2
             overlap_dev = max(overlap_dev, float(np.max(np.abs(cross - 1.0 / d))))
-    if ortho_dev > tol or overlap_dev > tol:
+    if ortho_dev > 1e-10 or overlap_dev > 1e-10:
         raise NotComplementary(
             f"orthonormality off by {ortho_dev:.2e}, overlaps off by {overlap_dev:.2e}")
     return {"orthonormality_deviation": ortho_dev, "overlap_deviation": overlap_dev,

@@ -44,10 +44,11 @@ def random_smooth_grid_state(rng: np.random.Generator, grid: GridSpec | None = N
     return GridPureState(grid, psi, constants)
 
 
-def random_periodic_state(rng: np.random.Generator, j_max: int = 24,
+def random_periodic_state(rng: np.random.Generator,
                           constants: Constants | None = None) -> PeriodicState:
     """Smooth circle wavepacket: Gaussian amplitudes over j with random phases."""
     constants = constants or Constants()
+    j_max = 24
     j = np.arange(-j_max, j_max + 1)
     center = rng.uniform(-j_max / 4, j_max / 4)
     width = rng.uniform(2.0, j_max / 4)

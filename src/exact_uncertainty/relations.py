@@ -15,7 +15,7 @@ import numpy as np
 
 from .decomposition import LineMeasurement, circle_measurement, line_measurement
 from .densities import circle_density
-from .errors import VanishingDensity
+from .errors import BOX_TOO_SMALL, VanishingDensity
 from .fisher import (
     INFINITE_BY_UNIFORMITY,
     ZERO_BY_DISCONTINUITY,
@@ -148,7 +148,7 @@ def verify_conjugate(state, tol: float = TOL_GRID) -> RelationReport:
     if state.family != "grid":
         raise TypeError("verify_conjugate needs a grid state")
     report = _line_report(state, True, tol)
-    if report.verdict != VIOLATED or "BoxTooSmall" in report.notes["warnings"]:
+    if report.verdict != VIOLATED or BOX_TOO_SMALL in report.notes["warnings"]:
         return report
     wider = (MixedState(state.weights, tuple(embed_in_larger_box(m, 2) for m in state.members))
              if isinstance(state, MixedState) else embed_in_larger_box(state, 2))
@@ -170,7 +170,7 @@ def _line_report(state, conjugate: bool, tol: float) -> RelationReport:
         "fisher_length": record.fisher.fisher_length,  # finite on a line
         "masked_mass": record.classical.masked_mass,
         "nonclassical_spread": float(np.sqrt(record.nonclassical_variance)),
-        "warnings": ["BoxTooSmall"] if state.box_warning() else [],
+        "warnings": [BOX_TOO_SMALL] if state.box_warning() else [],
     }
     if not record.mixed:
         notes["total_spread"] = float(np.sqrt(record.partner_variance))
@@ -343,7 +343,7 @@ def verify_multidim(state, tol: float = 1e-5) -> RelationReport:
         "mixed_partials_residual": parts.mixed_partials_residual,
         "heisenberg_min_eigenvalue": min_eig,
         "heisenberg_satisfied": bool(heis_ok),
-        "warnings": (["BoxTooSmall"] if state.box_warning(parts.peak_density) else []),
+        "warnings": ([BOX_TOO_SMALL] if state.box_warning(parts.peak_density) else []),
     }
     verdict = EQUALITY
     if residual > tol or vol_residual > tol or not heis_ok:

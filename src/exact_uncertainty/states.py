@@ -389,9 +389,9 @@ def _in_range(values: np.ndarray, norm_of):
         return values, norm
     peak = float(np.max(np.abs(values)))
     if peak == 0.0:
-        raise ZeroNorm("state is zero")
+        raise ZeroNorm("all entries are zero")
     if not np.isfinite(peak):
-        raise ParseError("state has a non-finite entry")
+        raise ParseError("an entry is not finite")
     values = values / peak
     return values, norm_of(values)
 

@@ -330,21 +330,21 @@ def _classical_component(psi, d, p, retained, hbar) -> np.ndarray:
     return v
 
 
-def _mixed_partials_residual(v1, v2, p, state, floor=None, edges=(True, True)) -> float:
+def _mixed_partials_residual(v1, v2, p, state, floor, edges) -> float:
     """Max |d(v1)/dx2 - d(v2)/dx1| on the well-retained core.
 
     The arrays hold consecutive rows of a range of columns whose first and
     last columns are the lattice's or hold no core point; rows 1 to -2 are
     evaluated and the first and last rows serve as their x1 neighbours.
-    The core is p > ``floor`` (by default 1e-6 max p) without the first and
-    last columns and without the lattice's edge rows; ``edges`` tells
-    whether the first and last rows are the lattice's.  Only points whose
-    whole stencil lies in the core count.
+    The core is p > ``floor`` without the first and last columns and
+    without the lattice's edge rows; ``edges`` tells whether the first and
+    last rows are the lattice's.  Only points whose whole stencil lies in
+    the core count.
 
     Local differences only: the fields are defined just where the density
     is retained, so spectral stencils would drag in masked noise.
     """
-    core = p > (1e-6 * p.max() if floor is None else floor)
+    core = p > floor
     core[:, :1] = core[:, -1:] = False
     if edges[0]:
         core[0] = False
@@ -417,19 +417,21 @@ class EprParams:
             warnings.warn("EPR regime expects sigma < 1 < tau", stacklevel=3)
 
 
-def epr_grids(params: EprParams, n_points: int | None = None,
-              points_per_sigma: int = 8,
-              span_factor: float = 6.4) -> tuple[GridSpec, GridSpec]:
+POINTS_PER_SIGMA = 8  # lattice points per relative width sigma
+SPAN_TAUS = 6.4  # lattice span, in center widths tau
+
+
+def epr_grids(params: EprParams, n_points: int | None = None) -> tuple[GridSpec, GridSpec]:
     """Symmetric per-axis grids resolving sigma and spanning the tau envelope.
 
-    The default span factor leaves the boundary amplitude around 1e-5 of
+    A span of SPAN_TAUS tau leaves the boundary amplitude around 1e-5 of
     peak for the canonical sigma = 0.1, tau = 10 parameters: small enough
     for 1e-4 moment accuracy, while keeping the state matrix under a
     gigabyte.  A BoxTooSmall warning still attaches downstream, honestly.
     """
-    dx = params.sigma / points_per_sigma
+    dx = params.sigma / POINTS_PER_SIGMA
     if n_points is None:
-        span = max(span_factor * params.tau, 16.0 * params.sigma + 4.0 * abs(params.a))
+        span = max(SPAN_TAUS * params.tau, 16.0 * params.sigma + 4.0 * abs(params.a))
         n_points = int(np.ceil(span / dx / 512.0)) * 512
     half = n_points * dx / 2.0
     g = GridSpec(n_points, -half, half)
@@ -456,9 +458,9 @@ def build_epr(params: EprParams, grid_x: GridSpec, grid_y: GridSpec,
     if span_sum < 8.0 * params.tau:
         raise GridResolution(
             f"grid spans {span_sum:.1f} along x1+x2; need >= {8 * params.tau:.1f}")
-    if max(grid_x.dx, grid_y.dx) > params.sigma / 8.0 * (1.0 + 1e-9):
-        raise GridResolution(
-            f"dx = {max(grid_x.dx, grid_y.dx):.4g} does not resolve sigma with >= 8 points")
+    if max(grid_x.dx, grid_y.dx) > params.sigma / POINTS_PER_SIGMA * (1.0 + 1e-9):
+        raise GridResolution(f"dx = {max(grid_x.dx, grid_y.dx):.4g} does not resolve sigma"
+                             f" with >= {POINTS_PER_SIGMA} points")
     x1, x2 = grid_x.points(), grid_y.points()
     phase1 = np.exp(0.5j * params.p0 * x1 / constants.hbar)
     phase2 = np.exp(0.5j * params.p0 * x2 / constants.hbar)

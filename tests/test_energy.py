@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from exact_uncertainty.decomposition import classical_estimate
 from exact_uncertainty.densities import LineDensity
 from exact_uncertainty.energy import (
     EnergyModel,
@@ -17,9 +18,10 @@ from exact_uncertainty.energy import (
     golden_minimize,
     mean_inverse_abs,
 )
-from exact_uncertainty.fisher import fisher_length
+from exact_uncertainty.fisher import FINITE, fisher_length
 from exact_uncertainty.grids import GridSpec
-from exact_uncertainty.states import Constants, GridPureState, gaussian_state
+from exact_uncertainty.random_states import random_smooth_grid_state
+from exact_uncertainty.states import Constants, GridPureState, gaussian_state, moment
 
 
 def half_gaussian_density(grid, sigma):
@@ -55,6 +57,34 @@ class TestEnergyIdentity:
         parts = energy_identity(st, model)
         bound = fisher_bound(LineDensity(grid, st.position_density()), model)
         assert bound.bound == pytest.approx(parts["direct_energy"], rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["harmonic", "gravity", "sampled", "coulomb"])
+    def test_terms_equal_separate_assembly(self, grid, kind):
+        """The terms read from the xp report's measurement equal, bit for bit,
+        those assembled from a fresh density, classical estimate and <P^2>
+        (the Coulomb potential gives -inf on these states, which have p(0) > 0)."""
+        x = grid.points()
+        model = EnergyModel(kind, Constants(hbar=0.7, mass=1.9, omega=1.3), nuclear_charge=1.5,
+                            samples=0.1 * x ** 4 - x ** 2 if kind == "sampled" else None)
+        c = model.constants
+        for st in (gaussian_state(grid, 1.3, center=0.4, momentum=1.7, constants=c),
+                   random_smooth_grid_state(np.random.default_rng(5), grid, c)):
+            dens = LineDensity(grid, st.position_density())
+            fm = fisher_length(dens)
+            comp = classical_estimate(st, "position", "P")
+            v = model.potential_on(grid)
+            v_mean = float(np.sum(dens.values[comp.mask] * v[comp.mask]) * grid.dx)
+            fisher_term = c.hbar ** 2 / (8.0 * c.mass * fm.fisher_length ** 2) \
+                if fm.divergence_flag == FINITE else float("inf")
+            drift_term = comp.second_moment / (2.0 * c.mass)
+            assert energy_identity(st, model) == {
+                "fisher_term": fisher_term,
+                "drift_term": drift_term,
+                "potential_term": v_mean,
+                "total": fisher_term + drift_term + v_mean,
+                "direct_energy": moment(st, "P", 2) / (2.0 * c.mass) + v_mean,
+                "fisher_flag": fm.divergence_flag,
+            }
 
 
 class TestFisherBound:

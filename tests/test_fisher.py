@@ -62,6 +62,14 @@ class TestNormalizedWhereBuilt:
         with pytest.raises(ParseError):
             DiscreteDistribution([0.5, np.nan, 0.5])
 
+    def test_errors_name_no_input_kind(self, grid):
+        # the same check rejects states, densities and distributions
+        with pytest.raises(ZeroNorm) as zero:
+            LineDensity(grid, np.zeros(grid.n_points))
+        with pytest.raises(ParseError) as nan:
+            DiscreteDistribution([0.5, np.nan, 0.5])
+        assert "state" not in str(zero.value) and "state" not in str(nan.value)
+
     def test_collision_length_of_huge_probabilities(self):
         assert collision_length(DiscreteDistribution([1e308] * 3)) == pytest.approx(3.0, rel=1e-15)
 

@@ -64,15 +64,6 @@ def test_fourier_interpolation_is_exact_at_nodes_and_modes():
     assert np.max(np.abs(fine - exact)) < 1e-12
 
 
-def test_fourier_interpolation_2d():
-    grid = GridSpec(32, 0.0, 2 * np.pi)
-    x = grid.points()
-    f = np.outer(np.cos(2 * x), np.sin(3 * x))
-    fine = fourier_interpolate(f, 2)
-    assert np.max(np.abs(fine[::2, ::2] - f)) < 1e-12
-    assert np.max(np.abs(fine.imag)) < 1e-12
-
-
 @pytest.mark.parametrize("axis", [0, 1])
 def test_real_derivative_axis_matches_complex_kernel(axis):
     gx, gy = GridSpec(64, -8.0, 8.0), GridSpec(96, -10.0, 10.0)

@@ -249,7 +249,7 @@ def test_momentum_variance_consistent_with_spectral_operator(rng, grid):
     st = random_smooth_grid_state(rng, grid)
     psi = st.amplitudes
     dpsi = spectral_derivative(psi, grid)
-    d2psi = spectral_derivative(psi, grid, order=2)
+    d2psi = spectral_derivative(dpsi, grid)
     p1 = np.real(np.sum(np.conj(psi) * (-1j) * dpsi)) * grid.dx
     p2 = np.real(np.sum(np.conj(psi) * (-1.0) * d2psi)) * grid.dx
     direct = p2 - p1 ** 2

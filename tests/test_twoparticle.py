@@ -5,6 +5,7 @@ from exact_uncertainty.errors import GridResolution, VanishingDensity
 from exact_uncertainty.grids import GridSpec
 from exact_uncertainty.states import Grid2DPureState
 from exact_uncertainty.twoparticle import (
+    POINTS_PER_SIGMA,
     EprParams,
     build_epr,
     collapse_momentum,
@@ -116,6 +117,16 @@ class TestBuild:
         tight = GridSpec(64, -4.0, 4.0)
         with pytest.raises(GridResolution):
             build_epr(SMALL, tight, tight)
+
+    def test_resolution_is_points_per_sigma(self):
+        for g in epr_grids(SMALL):  # dx = (x_max - x_min) / n, to rounding
+            assert g.dx == pytest.approx(SMALL.sigma / POINTS_PER_SIGMA, rel=1e-12)
+        # spans 25.6 per axis (the span check needs 20), dx just above sigma / 8
+        n = 1024
+        half = 0.5 * n * SMALL.sigma / POINTS_PER_SIGMA * (1.0 + 1e-6)
+        coarse = GridSpec(n, -half, half)
+        with pytest.raises(GridResolution, match="does not resolve sigma"):
+            build_epr(SMALL, coarse, coarse)
 
 
 def _band_case(case):
@@ -505,9 +516,9 @@ class TestStreamedDecomposition:
             & np.roll(core, 1, 1) & np.roll(core, -1, 1)
         diff = np.gradient(v1, gy.dx, axis=1) - np.gradient(v2, gx.dx, axis=0)
         expected = float(np.max(np.abs(diff[interior])))
-        assert _mixed_partials_residual(v1, v2, p, st) == expected
-
         floor = 1e-6 * p.max()
+        assert _mixed_partials_residual(v1, v2, p, st, floor, (True, True)) == expected
+
         for step in (1, 2, 5):
             got = 0.0
             for start in range(0, n1, step):
@@ -868,7 +879,7 @@ def unblocked_reference(state):
     mean_tot = float(np.sum(dens * tot))
     return {
         "mask": mask, "v1": v1, "v2": v2,
-        "mixed": _mixed_partials_residual(v1, v2, p, state),
+        "mixed": _mixed_partials_residual(v1, v2, p, state, 1e-6 * p.max(), (True, True)),
         "cov_position": weighted_cov(p * w, x1, x2),
         "cov_momentum": cov_p,
         "cov_classical": cov_cl,
