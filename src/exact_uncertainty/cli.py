@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .densities import LineDensity
-from .decomposition import classical_estimate, decomposition_summary
+from .decomposition import _summary, classical_estimate
 from .energy import (
     EnergyModel,
     airy_first_zero,
@@ -334,7 +334,7 @@ def cmd_decompose(config: RunConfig, args) -> tuple[int, dict]:
     if observable is None:
         observable = "J" if state.family == "periodic" else "N"
     comp = classical_estimate(state, args.basis, observable)
-    summary = decomposition_summary(state, args.basis, observable)
+    summary = _summary(state, observable, comp)
     doc = {
         "basis": args.basis,
         "observable": observable,

@@ -254,7 +254,11 @@ def decomposition_summary(state, basis: str, observable: str) -> DecompositionSu
     The nonclassical variance is the independently computed minimum error,
     so the residual genuinely measures the mean-equality <B> = <B_cl>.
     """
-    comp = classical_estimate(state, basis, observable)
+    return _summary(state, observable, classical_estimate(state, basis, observable))
+
+
+def _summary(state, observable: str, comp: ClassicalComponent) -> DecompositionSummary:
+    """:func:`decomposition_summary` from the classical component ``comp``."""
     mean, second = moments(state, observable)
     var_total = second - mean ** 2
     var_cl = comp.variance

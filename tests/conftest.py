@@ -40,3 +40,16 @@ def block_pool(monkeypatch):
     yield force
     if grids._pool is not None:
         grids._pool.shutdown()
+
+
+def gaussian_2d_parameters(rng) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma, C) of ``random_states.random_gaussian_2d``, drawn from ``rng`` in
+    the generator's order: the state is exp(-x^T Sigma^-1 x / 4 + i x^T C x / (2 hbar))."""
+    corr = rng.uniform(-0.7, 0.7)
+    s1 = rng.uniform(0.8, 1.4)
+    s2 = rng.uniform(0.8, 1.4)
+    c11 = rng.uniform(-0.2, 0.2)
+    c22 = rng.uniform(-0.2, 0.2)
+    c12 = rng.uniform(-0.15, 0.15)
+    cov = np.array([[s1 ** 2, corr * s1 * s2], [corr * s1 * s2, s2 ** 2]])
+    return cov, np.array([[c11, c12], [c12, c22]])

@@ -291,6 +291,57 @@ def test_decompose(tmp_path):
     assert report["summary"]["var_classical"] == pytest.approx(0.0, abs=1e-9)
 
 
+def _decompose_files(tmp_path):
+    """(path, basis) of a pure grid file, a grid mixture file and a Fock file,
+    with every basis each one supports."""
+    rng = np.random.default_rng(5)
+    grid = GridSpec(256, -16.0, 16.0)
+    files = {
+        "pure": (gaussian_state(grid, 1.0, momentum=1.5), ("position", "momentum")),
+        "mixture": (MixedState.from_ensemble([(0.3, gaussian_state(grid, 1.2, momentum=-0.5)),
+                                              (0.7, gaussian_state(grid, 0.8, momentum=1.0))]),
+                    ("position", "momentum")),
+        "fock": (random_fock_state(rng, 30), ("phase",)),
+    }
+    cases = []
+    for name, (state, bases) in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(state_to_dict(state)))
+        cases += [(path, basis) for basis in bases]
+    return cases
+
+
+def test_decompose_summary_reuses_the_reported_component(tmp_path, monkeypatch):
+    from exact_uncertainty.decomposition import decomposition_summary
+
+    for path, basis in _decompose_files(tmp_path):
+        args = ["decompose", str(path), "--basis", basis, "--out", str(tmp_path / "new.json")]
+        assert main(args) == 0
+        with monkeypatch.context() as m:  # the summary formed from a second estimate
+            m.setattr(cli, "_summary", lambda state, observable, comp:
+                      decomposition_summary(state, basis, observable))
+            assert main(args[:-1] + [str(tmp_path / "separate.json")]) == 0
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "separate.json").read_bytes()
+
+
+def test_decompose_forms_one_classical_estimate(tmp_path, monkeypatch):
+    from exact_uncertainty import decomposition
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    estimate = decomposition.classical_estimate
+    monkeypatch.setattr(decomposition, "classical_estimate", counted)
+    monkeypatch.setattr(cli, "classical_estimate", counted)
+    for path, basis in _decompose_files(tmp_path):
+        calls.clear()
+        assert main(["decompose", str(path), "--basis", basis, "--out", str(tmp_path / "d.json")]) == 0
+        assert len(calls) == 1, (path.name, basis)
+
+
 def test_epr_demo_small(tmp_path):
     code, doc = run(["epr-demo", "--sigma", "0.2", "--tau", "5", "--epr-grid-n", "1280"],
                     tmp_path / "e.json")

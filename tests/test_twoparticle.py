@@ -261,6 +261,48 @@ class TestCorrelationRelation:
                 pearson_from_cov(parts.cov_position), abs=1e-6)
 
 
+class TestGaussianClosedForms:
+    """``random_gaussian_2d``'s family psi = exp(-x^T Sigma^-1 x / 4 + i x^T C x / (2 hbar))
+    has p = N(0, Sigma), FCov(X) = Sigma, P_cl = C x, Cov(P_cl) = C Sigma C and
+    Cov(P_nc) = (hbar/2)^2 Sigma^-1.  Each bound is BOUND_FACTOR times the
+    worst error measured over these cases: max |got - want| / max |want|."""
+
+    BOUND_FACTOR = 30
+    MEASURED = {"cov_position": 1.3e-15, "cov_fisher": 2.9e-11, "cov_nonclassical": 9.9e-12,
+                "cov_classical": 2.9e-11, "cov_momentum": 6.9e-16, "classical_values": 9.8e-9}
+
+    @staticmethod
+    def relative_error(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("hbar", [1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_decomposition_is_the_closed_form(self, seed, hbar):
+        from conftest import gaussian_2d_parameters
+        from exact_uncertainty.random_states import random_gaussian_2d
+        from exact_uncertainty.states import Constants
+
+        st = random_gaussian_2d(np.random.default_rng(seed), constants=Constants(hbar=hbar))
+        cov, c = gaussian_2d_parameters(np.random.default_rng(seed))
+        parts = nonclassical_components_2d(st)
+        nonclassical = (hbar / 2.0) ** 2 * np.linalg.inv(cov)
+        x = st.grid_x.points()
+        x1, x2 = np.meshgrid(x, x, indexing="ij")
+        x1, x2 = x1[parts.retained], x2[parts.retained]
+        errors = {
+            "cov_position": self.relative_error(parts.cov_position, cov),
+            "cov_fisher": self.relative_error(parts.cov_fisher, cov),
+            "cov_nonclassical": self.relative_error(parts.cov_nonclassical, nonclassical),
+            "cov_classical": self.relative_error(parts.cov_classical, c @ cov @ c),
+            "cov_momentum": self.relative_error(parts.cov_momentum, nonclassical + c @ cov @ c),
+            "classical_values": max(
+                self.relative_error(parts.classical_values_1, c[0, 0] * x1 + c[0, 1] * x2),
+                self.relative_error(parts.classical_values_2, c[1, 0] * x1 + c[1, 1] * x2)),
+        }
+        for name, error in errors.items():
+            assert error <= self.BOUND_FACTOR * self.MEASURED[name], name
+
+
 class TestCollapse:
     def test_position_collapse_keeps_classical_momentum(self, small_epr):
         collapsed, comp = collapse_position(small_epr, 0.0)
